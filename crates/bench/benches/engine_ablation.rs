@@ -1,6 +1,6 @@
-//! Experiment B4 — parse-engine ablation: FIRST-pruned backtracking
-//! interpreter vs table-driven LL(1), answering the paper's closing
-//! question about "what kind of parsing mechanism is most suitable".
+//! Experiment B4 — parse-mechanism ablation: the engine's backtracking
+//! mode vs its predictive (no-speculation) mode, answering the paper's
+//! closing question about "what kind of parsing mechanism is most suitable".
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use sqlweave_bench::{corpus, parser};
@@ -12,7 +12,7 @@ use std::time::Duration;
 fn bench_engines(c: &mut Criterion) {
     let mut group = c.benchmark_group("B4_engine_ablation");
     for d in [Dialect::Pico, Dialect::Tiny, Dialect::Core] {
-        // Restrict to statements both engines accept, so the comparison is
+        // Restrict to statements both modes accept, so the comparison is
         // apples-to-apples.
         let ll = parser(d, EngineMode::Ll1Table);
         let bt = parser(d, EngineMode::Backtracking);

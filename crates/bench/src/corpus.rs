@@ -241,28 +241,3 @@ mod stats {
         println!("other:    {other_n} toks {other_bytes} bytes avg {:.1}", other_bytes as f64 / other_n.max(1) as f64);
     }
 }
-
-
-#[cfg(test)]
-mod probe_tmp2 {
-    use super::*;
-    use sqlweave_parser_rt::engine::EngineMode;
-    #[test]
-    #[ignore]
-    fn probe_ll1_failures() {
-        let d = sqlweave_dialects::Dialect::Core;
-        let script = generate_script(d, 0xED17, 256 * 1024);
-        let p = crate::parser(d, EngineMode::Ll1Table);
-        let mut s = p.session();
-        let o = s.parse_resilient(&script);
-        println!("core ll1: {} errors", o.errors.len());
-        for e in o.errors.iter().take(5) {
-            let lo = e.at.saturating_sub(80);
-            let hi = (e.at + 40).min(script.len());
-            let lo = (lo..=e.at).rev().find(|&i| script.is_char_boundary(i)).unwrap();
-            let hi = (hi..script.len().min(hi+4)).find(|&i| script.is_char_boundary(i)).unwrap_or(script.len());
-            println!("--- at {} ({}:{}): {}", e.at, e.line, e.column, format!("expected {:?} found {:?}", e.expected, e.found));
-            println!("    ...{}", &script[lo..hi].replace('\n', " "));
-        }
-    }
-}

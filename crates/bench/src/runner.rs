@@ -26,7 +26,7 @@
 //! byte-class dispatch tables), `interval` (the preserved per-character
 //! interval walker), and `naive` (per-rule NFA simulation) — plus the
 //! dialect's byte-class count. The scanner is engine-independent, so the
-//! LL(1) row leaves the section empty rather than duplicating it.
+//! predictive row leaves the section empty rather than duplicating it.
 //!
 //! The curated corpus is a *coverage* workload (a few hundred bytes per
 //! dialect), so the document can additionally carry a top-level
@@ -174,15 +174,14 @@ pub struct PairReport {
     pub bytes: usize,
     /// Byte equivalence classes in the compiled scanner tables.
     pub byte_classes: usize,
-    /// LL(k) dispatch-table hits over one session pass of the corpus
-    /// (backtracking engine only; 0 for the LL(1) table engine).
+    /// LL(k) dispatch-table hits over one session pass of the corpus.
     pub decision_table_hits: u64,
     /// Speculative probes undone (event-buffer truncations) in that pass.
     pub backtracks: u64,
     /// Failure-memo hits in that pass.
     pub failure_memo_hits: u64,
-    /// `backtracks / alternative attempts` — the fraction of speculative
-    /// probes that were undone. 0.0 when the engine never speculates.
+    /// `backtracks / alternative attempts` — the fraction of probes that
+    /// were undone. 0.0 in the predictive mode, which never speculates.
     pub backtrack_rate: f64,
     /// Per-API throughput, `seed_cst` first.
     pub apis: Vec<ApiMeasurement>,
@@ -458,30 +457,7 @@ pub fn bench_incremental(
 
 /// [`bench_incremental`] with a byte-precise corpus size (used by the unit
 /// tests, which cannot afford a multi-MiB debug-mode parse).
-///
-/// Runs on a dedicated 256 MiB-stack thread: the engines parse a clean
-/// multi-MiB script as one recursive descent over the whole statement
-/// list, and the predictive engine's frames overflow a default 8 MiB
-/// stack around ~25k statements. Only the two whole-document parses
-/// (opening the session, the from-scratch baseline) need the headroom —
-/// the keystroke path under measurement re-drives windows of a few dozen
-/// tokens.
 pub fn bench_incremental_bytes(
-    dialect: Dialect,
-    mode: EngineMode,
-    target_bytes: usize,
-    edits: usize,
-) -> IncrementalReport {
-    std::thread::Builder::new()
-        .name(format!("bench-incremental-{}", dialect.name()))
-        .stack_size(256 << 20)
-        .spawn(move || bench_incremental_on_thread(dialect, mode, target_bytes, edits))
-        .expect("spawn incremental bench thread")
-        .join()
-        .expect("incremental bench thread panicked")
-}
-
-fn bench_incremental_on_thread(
     dialect: Dialect,
     mode: EngineMode,
     target_bytes: usize,
@@ -593,7 +569,7 @@ fn measure(
 
 /// Benchmark one dialect × engine pair over its accepted corpus.
 ///
-/// Statements the engine rejects (the LL(1) engine cannot parse every
+/// Statements the engine rejects (the predictive mode cannot parse every
 /// corpus entry of the larger dialects) are excluded up front so every API
 /// measures identical successful work.
 pub fn bench_pair(dialect: Dialect, mode: EngineMode, iters: usize) -> PairReport {
@@ -603,7 +579,9 @@ pub fn bench_pair(dialect: Dialect, mode: EngineMode, iters: usize) -> PairRepor
 /// [`bench_pair`] with an explicit runtime lookahead limit (Experiment
 /// B5's k-ablation knob). Builds an unshared parser so the cached one
 /// keeps its default configuration; `k < 2` disables dispatch tables
-/// entirely, reproducing the seed backtracking behavior.
+/// entirely, reproducing the seed backtracking behavior (and, in the
+/// predictive mode, plain LL(1) with declaration-order conflict
+/// resolution).
 pub fn bench_pair_with_lookahead(
     dialect: Dialect,
     mode: EngineMode,
@@ -721,9 +699,9 @@ fn bench_parser(p: &Parser, dialect: Dialect, mode: EngineMode, iters: usize) ->
     for s in &stmts {
         counted.parse_tree(s).expect("accepted statement parses");
     }
-    let cstats = counted.stats();
-    let backtrack_rate = if cstats.alt_attempts > 0 {
-        cstats.backtracks as f64 / cstats.alt_attempts as f64
+    let counters = counted.counters();
+    let backtrack_rate = if counters.alt_attempts > 0 {
+        counters.backtracks as f64 / counters.alt_attempts as f64
     } else {
         0.0
     };
@@ -751,9 +729,9 @@ fn bench_parser(p: &Parser, dialect: Dialect, mode: EngineMode, iters: usize) ->
         tokens,
         bytes,
         byte_classes: p.scanner().byte_classes(),
-        decision_table_hits: cstats.decision_table_hits,
-        backtracks: cstats.backtracks,
-        failure_memo_hits: cstats.failure_memo_hits,
+        decision_table_hits: counters.decision_hits,
+        backtracks: counters.backtracks,
+        failure_memo_hits: counted.memo_hits(),
         backtrack_rate,
         apis,
         lex,
@@ -915,7 +893,7 @@ pub fn run(dialects: &[Dialect], iters: usize) -> String {
 }
 
 /// [`run`] with an optional runtime lookahead cap applied to every pair
-/// (the LL(1) table engine ignores it; see [`bench_pair_with_lookahead`]).
+/// (see [`bench_pair_with_lookahead`]).
 pub fn run_with_lookahead(
     dialects: &[Dialect],
     iters: usize,
@@ -1689,7 +1667,7 @@ mod tests {
     #[test]
     fn incremental_bench_covers_the_predictive_engine() {
         // The keystroke target holds per dialect × engine pair, so the
-        // LL(1)-table session gets its own row — same locality guarantees.
+        // predictive-mode session gets its own row — same locality guarantees.
         let r = bench_incremental_bytes(Dialect::Core, EngineMode::Ll1Table, 64 * 1024, 4);
         assert_eq!(r.engine, "ll1_table");
         assert!(r.apply_edit_us_p50 > 0.0 && r.speedup_p50 > 0.0, "{r:?}");
@@ -1719,13 +1697,13 @@ mod tests {
     #[test]
     fn backtracking_counters_populated() {
         // Tiny has two conflicted decisions (COUNT / SEMI), both resolved
-        // by dispatch tables, so the default configuration hits the
-        // tables and the LL(1) engine reports no speculation at all.
+        // by dispatch tables, so both modes hit the tables and the
+        // predictive mode reports no speculation at all.
         let bt = bench_pair(Dialect::Tiny, EngineMode::Backtracking, 1);
         assert!(bt.decision_table_hits > 0, "{bt:?}");
         assert!(bt.backtrack_rate.is_finite() && bt.backtrack_rate >= 0.0);
         let ll1 = bench_pair(Dialect::Tiny, EngineMode::Ll1Table, 1);
-        assert_eq!(ll1.decision_table_hits, 0);
+        assert!(ll1.decision_table_hits > 0, "{ll1:?}");
         assert_eq!(ll1.backtracks, 0);
         assert_eq!(ll1.backtrack_rate, 0.0);
     }

@@ -1616,7 +1616,8 @@ fn cmd_format(args: &[String]) -> ExitCode {
 /// column plus one lex-stage block per dialect (the B6/B9 scanner
 /// ablation) and one `sema` row per pair (the B8 parse + name-resolution
 /// pipeline). `--lookahead K` caps the runtime dispatch depth (the B5
-/// ablation knob; `1` reproduces the seed backtracking engine).
+/// ablation knob; `1` reproduces the seed backtracking engine, and plain
+/// LL(1) in the predictive mode).
 /// `--recover` adds the B7 recovery rows (faulty-script throughput,
 /// diagnostic counts, clean-input overhead) to the text table; the JSON
 /// document always carries them. `--corpus-mb N` additionally lexes an

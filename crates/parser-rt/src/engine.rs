@@ -1,23 +1,27 @@
-//! The two parse engines: FIRST-pruned backtracking recursive descent over
-//! the EBNF IR, and table-driven LL(1) over the flattened BNF.
+//! The parse engine: recursive descent over the compiled EBNF IR, deciding
+//! each choice with LL(k) dispatch tables and FIRST-set pruning, in one of
+//! two [`EngineMode`]s that differ only in what a failed choice means.
 //!
-//! Both engines run on *compiled* grammar forms built once at
-//! [`Parser::new`]: token kinds are interned to dense ids (the scanner's
-//! rule indices), FIRST sets become bitsets, nonterminal references become
-//! vector indices, and the LL(1) prediction table becomes a dense
-//! per-production row. The hot path performs no string comparisons and no
-//! hashing.
+//! The engine runs on a *compiled* grammar built once at [`Parser::new`]:
+//! token kinds are interned to dense ids (the scanner's rule indices),
+//! FIRST sets become bitsets, nonterminal references become vector
+//! indices, and every LL(1) conflict the static lookahead analysis
+//! resolves at k ≤ 3 becomes a sorted dispatch table. The hot path
+//! performs no string comparisons and no hashing.
 //!
-//! Since the green-tree rework the engines do not construct tree nodes at
-//! all: they append [`Event`]s to a flat buffer (see [`crate::events`]),
-//! and abandoning a speculative alternative is a single buffer truncation.
-//! The backtracking engine additionally memoizes *failed* `(production,
-//! position)` probes in a [`FailureMemo`] bitmap, so the Group/Opt/Star
-//! re-entry pattern — where an enclosing alternative re-probes the same
-//! nonterminal at the same position — fails in O(1) instead of re-deriving
-//! (and re-discarding) the whole subtree. Successful parses are
-//! materialized into a [`crate::tree::SyntaxTree`] by
-//! [`crate::session::ParseSession`]; [`Parser::parse`] keeps the seed
+//! At a choice the engine takes the dispatch table's alternative, else the
+//! first one in declaration order whose FIRST set admits the lookahead.
+//! Backtracking truncates a failed choice's events and tries the next
+//! alternative; the predictive mode's failed choice is the parse error.
+//!
+//! The engine does not construct tree nodes: it appends [`Event`]s to a
+//! flat buffer (see [`crate::events`]). The backtracking mode memoizes
+//! *failed* `(production, position)` probes in a [`FailureMemo`] bitmap,
+//! so the Group/Opt/Star re-entry pattern — where an enclosing alternative
+//! re-probes the same nonterminal at the same position — fails in O(1)
+//! instead of re-deriving (and re-discarding) the whole subtree.
+//! Successful parses are materialized into a [`crate::tree::SyntaxTree`]
+//! by [`crate::session::ParseSession`]; [`Parser::parse`] keeps the seed
 //! [`CstNode`] API as a thin conversion on top.
 
 use crate::cst::CstNode;
@@ -27,24 +31,27 @@ use crate::session::{ParseSession, SessionBuffers};
 use sqlweave_grammar::analysis::{analyze, AnalysisError, GrammarAnalysis, EOF};
 use sqlweave_grammar::ir::{Grammar, Term};
 use sqlweave_grammar::lookahead::{analyze_lookahead, recovery_sync_set, Outcome, K_MAX};
-use sqlweave_grammar::lower::is_synthetic;
 use sqlweave_lexgen::tokenset::{TokenSet, TokenSetError};
 use sqlweave_lexgen::{LineIndex, Scanner, Token};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::sync::Mutex;
 
-/// Which algorithm [`Parser::parse`] runs.
+/// How the engine treats a failed choice (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum EngineMode {
-    /// Recursive-descent interpretation of the EBNF grammar with FIRST-set
-    /// pruning and ordered backtracking across alternatives. Handles any
-    /// composed grammar (PEG-style disambiguation on non-LL(1) spots).
+    /// Speculate: a failed alternative is rolled back and the next
+    /// admissible one is tried (ordered backtracking). Handles any composed
+    /// grammar (PEG-style disambiguation at the residual ambiguities).
     #[default]
     Backtracking,
-    /// Table-driven predictive parsing over the flattened grammar. Fastest,
-    /// but decisions follow the LL(1) table; reported conflicts resolve to
-    /// the first-declared alternative.
+    /// Predict without speculation: every choice commits to the one
+    /// alternative the dispatch table (or, without one, FIRST pruning in
+    /// declaration order) selects, and its failure is a parse error.
+    /// Accepts exactly the inputs the backtracking mode parses without a
+    /// rollback, with identical trees. With `with_lookahead_k(1)` it
+    /// amounts to LL(1) parsing with conflicts resolved by declaration
+    /// order.
     Ll1Table,
 }
 
@@ -85,7 +92,8 @@ impl fmt::Display for BuildError {
 
 impl std::error::Error for BuildError {}
 
-/// Static size metrics of a built parser (Experiment B3).
+/// Static size metrics of a built parser (Experiment B3). Per-parse
+/// counters live in [`RunCounters`] ([`crate::session::ParseSession::counters`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParserStats {
     /// Productions in the (EBNF) grammar.
@@ -104,31 +112,19 @@ pub struct ParserStats {
     pub dfa_states: usize,
     /// Byte equivalence classes in the compiled scanner dispatch tables.
     pub byte_classes: usize,
-    /// LL(k) dispatch-table hits (dynamic; zero on a freshly built parser,
-    /// populated by [`crate::session::ParseSession::stats`]).
-    pub decision_table_hits: u64,
-    /// Speculative alternative/body probes attempted (dynamic).
-    pub alt_attempts: u64,
-    /// Probes abandoned by event-buffer truncation (dynamic).
-    pub backtracks: u64,
-    /// Failure-memo hits (dynamic).
-    pub failure_memo_hits: u64,
-    /// Panic-mode recoveries performed by resilient parses (dynamic).
-    pub error_recoveries: u64,
-    /// Tokens skipped into error nodes by resilient parses (dynamic).
-    pub recovery_skipped_tokens: u64,
 }
 
-/// Dynamic counters accumulated by the backtracking engine across one
-/// session's parses (Experiment B5: backtrack rate with and without the
-/// compiled LL(k) dispatch tables).
+/// Dynamic counters accumulated by the engine across one session's parses
+/// (Experiment B5: backtrack rate with and without the compiled LL(k)
+/// dispatch tables).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RunCounters {
     /// Dispatch-table consultations that selected an alternative directly.
     pub decision_hits: u64,
-    /// Speculative alternative/body probes attempted.
+    /// Alternative/body probes attempted.
     pub alt_attempts: u64,
-    /// Probes abandoned by event-buffer truncation.
+    /// Probes abandoned by event-buffer truncation (always zero in
+    /// [`EngineMode::Ll1Table`]).
     pub backtracks: u64,
     /// Panic-mode recoveries performed (one per reported syntax error).
     pub recoveries: u64,
@@ -190,9 +186,9 @@ impl TokBits {
 /// indices below.
 pub(crate) const NO_DECISION: u32 = u32::MAX;
 
-/// Compiled EBNF term for the backtracking engine. Decision indices point
-/// into [`Parser::decisions`] when static lookahead analysis resolved the
-/// LL(1) conflict at the corresponding flattened decision point.
+/// Compiled EBNF term. Decision indices point into [`Parser::decisions`]
+/// when static lookahead analysis resolved the LL(1) conflict at the
+/// corresponding flattened decision point.
 pub(crate) enum CTerm {
     Tok(u32),
     Nt(u32),
@@ -248,30 +244,6 @@ fn rt_w_push(w: u64, t: u16) -> u64 {
     (((l + 1) as u64) << 48) | (w & 0x0000_FFFF_FFFF_FFFF) | ((t as u64) << (32 - 16 * l))
 }
 
-/// Compiled flat term for the LL(1) engine.
-pub(crate) enum FTerm {
-    Tok(u32),
-    Nt { idx: u32, synthetic: bool },
-}
-
-pub(crate) struct FAlt {
-    pub(crate) seq: Vec<FTerm>,
-    pub(crate) label: Option<String>,
-}
-
-pub(crate) const NO_ALT: u16 = u16::MAX;
-
-pub(crate) struct FProd {
-    pub(crate) name: String,
-    pub(crate) alts: Vec<FAlt>,
-    /// Dense prediction row: token id → alternative index (or [`NO_ALT`]).
-    pub(crate) row: Box<[u16]>,
-    /// Alternative predicted at end of input.
-    pub(crate) eof_alt: u16,
-    /// Tokens with a prediction (for error messages).
-    pub(crate) expected: TokBits,
-}
-
 /// A ready-to-use parser for one composed grammar.
 pub struct Parser {
     grammar: Grammar,
@@ -281,17 +253,13 @@ pub struct Parser {
     pub(crate) n_tokens: usize,
     pub(crate) cprods: Vec<CProd>,
     pub(crate) cstart: u32,
-    pub(crate) fprods: Vec<FProd>,
-    pub(crate) fstart: u32,
     decisions: Vec<RtDecision>,
     lookahead_k: u8,
     /// Statement-level synchronization tokens for panic-mode recovery
     /// (derived from FOLLOW of the start skeleton; EOF is implicit).
     sync_bits: TokBits,
-    /// FOLLOW bitset per compiled EBNF production (recovery stop set).
+    /// FOLLOW bitset per compiled production (recovery stop set).
     cfollow: Vec<TokBits>,
-    /// FOLLOW bitset per flat production (recovery stop set, LL(1) mode).
-    ffollow: Vec<TokBits>,
     /// Recycled [`SessionBuffers`] backing the [`Parser::parse`] and
     /// [`Parser::parse_resilient`] conveniences, so repeated one-shot
     /// calls reach the session path's zero-allocation steady state
@@ -328,8 +296,8 @@ impl Parser {
         let n_tokens = scanner.rule_count();
 
         // Static LL(k) lookahead analysis: every conflict the analysis
-        // resolves becomes a compiled dispatch table the backtracking
-        // engine consults before speculating.
+        // resolves becomes a compiled dispatch table the engine consults
+        // before choosing by FIRST set.
         let mut decisions: Vec<RtDecision> = Vec::new();
         let mut decision_of: HashMap<String, u32> = HashMap::new();
         if !analysis.conflicts.is_empty() {
@@ -375,18 +343,16 @@ impl Parser {
             decision_of: &decision_of,
         };
         let (cprods, cstart) = compiler.compile_ebnf(&grammar);
-        let (fprods, fstart) = compiler.compile_flat();
 
         // Panic-mode recovery sets: the statement-level sync tokens from
         // the start skeleton's FOLLOW machinery, plus a FOLLOW bitset per
-        // production of each compiled form (per-production stop points).
+        // production (per-production stop points).
         let sync_bits = compiler.bits_of(&recovery_sync_set(&analysis));
         let empty = BTreeSet::new();
-        let follow_bits = |name: &str| -> TokBits {
-            compiler.bits_of(analysis.follow.get(name).unwrap_or(&empty))
-        };
-        let cfollow = cprods.iter().map(|p| follow_bits(&p.name)).collect();
-        let ffollow = fprods.iter().map(|p| follow_bits(&p.name)).collect();
+        let cfollow = cprods
+            .iter()
+            .map(|p| compiler.bits_of(analysis.follow.get(&p.name).unwrap_or(&empty)))
+            .collect();
 
         Ok(Parser {
             grammar,
@@ -396,13 +362,10 @@ impl Parser {
             n_tokens,
             cprods,
             cstart,
-            fprods,
-            fstart,
             decisions,
             lookahead_k: K_MAX as u8,
             sync_bits,
             cfollow,
-            ffollow,
             session_pool: Mutex::new(Vec::new()),
         })
     }
@@ -413,13 +376,11 @@ impl Parser {
         self.sync_bits.contains(kind)
     }
 
-    /// FOLLOW bitset of a compiled production (per emitting engine), used
-    /// as the per-production stop set during panic-mode token skipping.
-    pub(crate) fn follow_bits(&self, mode: EngineMode, prod: u32) -> Option<&TokBits> {
-        match mode {
-            EngineMode::Backtracking => self.cfollow.get(prod as usize),
-            EngineMode::Ll1Table => self.ffollow.get(prod as usize),
-        }
+    /// FOLLOW bitset of a compiled production (`None` for [`NO_PROD`]),
+    /// used as the per-production stop set during panic-mode token
+    /// skipping.
+    pub(crate) fn follow_bits(&self, prod: u32) -> Option<&TokBits> {
+        self.cfollow.get(prod as usize)
     }
 
     /// Select the engine mode (builder style).
@@ -453,7 +414,7 @@ impl Parser {
         self.decisions.len()
     }
 
-    /// `true` when the backtracking engine will consult dispatch tables.
+    /// `true` when the engine will consult dispatch tables.
     pub(crate) fn tables_active(&self) -> bool {
         self.lookahead_k >= 2 && !self.decisions.is_empty()
     }
@@ -484,12 +445,6 @@ impl Parser {
             token_rules: self.scanner.rule_count(),
             dfa_states: self.scanner.dfa_states(),
             byte_classes: self.scanner.byte_classes(),
-            decision_table_hits: 0,
-            alt_attempts: 0,
-            backtracks: 0,
-            failure_memo_hits: 0,
-            error_recoveries: 0,
-            recovery_skipped_tokens: 0,
         }
     }
 
@@ -568,31 +523,21 @@ impl Parser {
     }
 
     /// Resolve a compiled production id (as found in [`Event::Open`]) to
-    /// its production name, per emitting engine.
-    pub(crate) fn prod_name(&self, mode: EngineMode, prod: u32) -> &str {
+    /// its production name.
+    pub(crate) fn prod_name(&self, prod: u32) -> &str {
         if prod == ERROR_NODE {
             return "error";
         }
-        match mode {
-            EngineMode::Backtracking => &self.cprods[prod as usize].name,
-            EngineMode::Ll1Table => &self.fprods[prod as usize].name,
-        }
+        &self.cprods[prod as usize].name
     }
 
     /// Resolve a compiled `(production, alternative)` pair to the
-    /// alternative's label, per emitting engine.
-    pub(crate) fn alt_label(&self, mode: EngineMode, prod: u32, alt: u32) -> Option<&str> {
+    /// alternative's label.
+    pub(crate) fn alt_label(&self, prod: u32, alt: u32) -> Option<&str> {
         if prod == ERROR_NODE {
             return None;
         }
-        match mode {
-            EngineMode::Backtracking => {
-                self.cprods[prod as usize].alts[alt as usize].label.as_deref()
-            }
-            EngineMode::Ll1Table => {
-                self.fprods[prod as usize].alts[alt as usize].label.as_deref()
-            }
-        }
+        self.cprods[prod as usize].alts[alt as usize].label.as_deref()
     }
 
     pub(crate) fn error_from(
@@ -647,25 +592,29 @@ impl Parser {
         }
     }
 
-    // ---------- event-emitting engines ----------
+    // ---------- the event-emitting engine ----------
 
-    /// Run the configured engine over an already-scanned token stream,
-    /// appending the parse to `ctx.events`. Returns the position after the
-    /// start production on success (the caller checks it consumed all
-    /// input).
+    /// Run the engine over an already-scanned token stream, appending the
+    /// parse to `ctx.events`. Returns the position after the start
+    /// production on success (the caller checks it consumed all input).
     pub(crate) fn run_events(&self, ctx: &mut EvCtx<'_>) -> Result<usize, ()> {
-        match self.mode {
-            EngineMode::Backtracking => self.ev_bt_nt(ctx, self.cstart, 0),
-            EngineMode::Ll1Table => self.ev_ll1(ctx, self.fstart, 0, true),
-        }
+        self.ev_nt(ctx, self.cstart, 0)
     }
 
-    /// Consult the compiled dispatch table `di` at `pos`. Returns the
-    /// selected alternative on a hit. Entries are keyed on exactly
-    /// `min(k, remaining)` packed tokens, so short (end-of-input) words
-    /// match only when the input really ends there.
+    /// Consult the compiled dispatch table `di` at `pos`, counting hits.
     #[inline]
     fn try_dispatch(&self, ctx: &mut EvCtx<'_>, di: u32, pos: usize) -> Option<usize> {
+        let hit = self.dispatch(ctx.kind_ids, di, pos);
+        ctx.counters.decision_hits += u64::from(hit.is_some());
+        hit
+    }
+
+    /// Look up the compiled dispatch table `di` at `pos` of `kind_ids`.
+    /// Returns the selected alternative on a hit. Entries are keyed on
+    /// exactly `min(k, remaining)` packed tokens, so short (end-of-input)
+    /// words match only when the input really ends there.
+    #[inline]
+    pub(crate) fn dispatch(&self, kind_ids: &[u32], di: u32, pos: usize) -> Option<usize> {
         // SAFETY: `di` is a compiled decision index — every caller guards
         // `di != NO_DECISION`, and the compiler only stores indices it
         // just pushed into `decisions`. Skipping the bounds check removes
@@ -675,40 +624,37 @@ impl Parser {
         if d.k > self.lookahead_k {
             return None;
         }
-        match ctx.kind_ids.get(pos) {
+        match kind_ids.get(pos) {
             Some(&k0) if d.conflict_first.contains(k0) => {}
             None if d.conflict_eof => {}
             _ => return None,
         }
-        let depth = (d.k as usize).min(ctx.kind_ids.len() - pos);
+        let depth = (d.k as usize).min(kind_ids.len() - pos);
         let mut w = 0u64;
-        for &t in &ctx.kind_ids[pos..pos + depth] {
+        for &t in &kind_ids[pos..pos + depth] {
             w = rt_w_push(w, t as u16);
         }
-        match d.entries.binary_search_by_key(&w, |e| e.0) {
-            Ok(i) => {
-                ctx.counters.decision_hits += 1;
-                Some(d.entries[i].1 as usize)
-            }
-            Err(_) => None,
-        }
+        let i = d.entries.binary_search_by_key(&w, |e| e.0).ok()?;
+        Some(d.entries[i].1 as usize)
     }
 
-    fn ev_bt_nt(&self, ctx: &mut EvCtx<'_>, prod: u32, pos: usize) -> Result<usize, ()> {
+    fn ev_nt(&self, ctx: &mut EvCtx<'_>, prod: u32, pos: usize) -> Result<usize, ()> {
         // Track which production owns the failure frontier (`Notes`
         // snapshots the innermost production on every frontier advance) so
         // panic-mode recovery can skip to that production's FOLLOW set.
         let saved = ctx.notes.cur_prod;
         ctx.notes.cur_prod = prod;
-        let result = self.ev_bt_nt_inner(ctx, prod, pos);
+        let result = self.ev_nt_inner(ctx, prod, pos);
         ctx.notes.cur_prod = saved;
         result
     }
 
-    fn ev_bt_nt_inner(&self, ctx: &mut EvCtx<'_>, prod: u32, pos: usize) -> Result<usize, ()> {
+    fn ev_nt_inner(&self, ctx: &mut EvCtx<'_>, prod: u32, pos: usize) -> Result<usize, ()> {
         // The engine is a deterministic function of (production, position),
         // so a failed probe can never succeed on re-entry — fail in O(1).
-        if ctx.memo.failed(prod, pos) {
+        // Without speculation there is no re-entry: the first failure ends
+        // the parse.
+        if ctx.speculate && ctx.memo.failed(prod, pos) {
             return Err(());
         }
         let cprod = &self.cprods[prod as usize];
@@ -718,18 +664,15 @@ impl Parser {
                 let mark = ctx.events.len();
                 ctx.events.push(Event::Open { prod, alt: ai as u32 });
                 ctx.counters.alt_attempts += 1;
-                match self.ev_bt_seq(ctx, &alt.seq, pos) {
+                match self.ev_seq(ctx, &alt.seq, pos) {
                     Ok(next) => {
                         ctx.events.push(Event::Close);
                         return Ok(next);
                     }
-                    Err(()) => {
-                        ctx.counters.backtracks += 1;
-                        ctx.events.truncate(mark);
-                        // The dispatched alternative failed on deeper
-                        // context; fall back to the full ordered loop
-                        // (outcome-identical to the seed engine).
-                    }
+                    // The dispatched alternative failed on deeper context;
+                    // speculation falls back to the full ordered loop
+                    // (outcome-identical to the seed engine).
+                    Err(()) => ctx.abandon(mark)?,
                 }
             }
         }
@@ -747,37 +690,36 @@ impl Parser {
             let mark = ctx.events.len();
             ctx.events.push(Event::Open { prod, alt: ai as u32 });
             ctx.counters.alt_attempts += 1;
-            match self.ev_bt_seq(ctx, &alt.seq, pos) {
+            match self.ev_seq(ctx, &alt.seq, pos) {
                 Ok(next) => {
                     ctx.events.push(Event::Close);
                     return Ok(next);
                 }
-                Err(()) => {
-                    ctx.counters.backtracks += 1;
-                    ctx.events.truncate(mark);
-                }
+                Err(()) => ctx.abandon(mark)?,
             }
         }
-        ctx.memo.record(prod, pos);
+        if ctx.speculate {
+            ctx.memo.record(prod, pos);
+        }
         Err(())
     }
 
-    fn ev_bt_seq(&self, ctx: &mut EvCtx<'_>, seq: &[CTerm], mut pos: usize) -> Result<usize, ()> {
+    fn ev_seq(&self, ctx: &mut EvCtx<'_>, seq: &[CTerm], mut pos: usize) -> Result<usize, ()> {
         for term in seq {
-            pos = self.ev_bt_term(ctx, term, pos)?;
+            pos = self.ev_term(ctx, term, pos)?;
         }
         Ok(pos)
     }
 
     /// Greedy repetition shared by `Star` and the tail of `Plus`.
-    fn ev_bt_repeat(
+    fn ev_repeat(
         &self,
         ctx: &mut EvCtx<'_>,
         body: &[CTerm],
         first: &TokBits,
         decision: u32,
         mut pos: usize,
-    ) -> usize {
+    ) -> Result<usize, ()> {
         loop {
             match ctx.kind_ids.get(pos) {
                 Some(&k) if first.contains(k) => {
@@ -791,11 +733,10 @@ impl Parser {
                     }
                     let mark = ctx.events.len();
                     ctx.counters.alt_attempts += 1;
-                    match self.ev_bt_seq(ctx, body, pos) {
+                    match self.ev_seq(ctx, body, pos) {
                         Ok(next) if next > pos => pos = next,
                         _ => {
-                            ctx.counters.backtracks += 1;
-                            ctx.events.truncate(mark);
+                            ctx.abandon(mark)?;
                             break;
                         }
                     }
@@ -806,10 +747,10 @@ impl Parser {
                 }
             }
         }
-        pos
+        Ok(pos)
     }
 
-    fn ev_bt_term(&self, ctx: &mut EvCtx<'_>, term: &CTerm, pos: usize) -> Result<usize, ()> {
+    fn ev_term(&self, ctx: &mut EvCtx<'_>, term: &CTerm, pos: usize) -> Result<usize, ()> {
         match term {
             CTerm::Tok(kind) => match ctx.kind_ids.get(pos) {
                 Some(k) if k == kind => {
@@ -821,7 +762,7 @@ impl Parser {
                     Err(())
                 }
             },
-            CTerm::Nt(n) => self.ev_bt_nt(ctx, *n, pos),
+            CTerm::Nt(n) => self.ev_nt(ctx, *n, pos),
             CTerm::Opt { body, first, decision } => {
                 if matches!(ctx.kind_ids.get(pos), Some(&k) if first.contains(k)) {
                     // Alternative 1 of the lowered `body | ε` is the skip:
@@ -834,12 +775,9 @@ impl Parser {
                     }
                     let mark = ctx.events.len();
                     ctx.counters.alt_attempts += 1;
-                    match self.ev_bt_seq(ctx, body, pos) {
+                    match self.ev_seq(ctx, body, pos) {
                         Ok(next) => return Ok(next),
-                        Err(()) => {
-                            ctx.counters.backtracks += 1;
-                            ctx.events.truncate(mark);
-                        }
+                        Err(()) => ctx.abandon(mark)?,
                     }
                 } else {
                     // Not taken: still informative for error messages.
@@ -848,24 +786,20 @@ impl Parser {
                 Ok(pos)
             }
             CTerm::Star { body, first, decision } => {
-                Ok(self.ev_bt_repeat(ctx, body, first, *decision, pos))
+                self.ev_repeat(ctx, body, first, *decision, pos)
             }
             CTerm::Plus { body, first, decision } => {
-                let next = self.ev_bt_seq(ctx, body, pos)?;
-                Ok(self.ev_bt_repeat(ctx, body, first, *decision, next))
+                let next = self.ev_seq(ctx, body, pos)?;
+                self.ev_repeat(ctx, body, first, *decision, next)
             }
             CTerm::Group { alts, decision } => {
                 if ctx.use_tables && *decision != NO_DECISION {
                     if let Some(ai) = self.try_dispatch(ctx, *decision, pos) {
-                        let alt = &alts[ai];
                         let mark = ctx.events.len();
                         ctx.counters.alt_attempts += 1;
-                        match self.ev_bt_seq(ctx, &alt.seq, pos) {
+                        match self.ev_seq(ctx, &alts[ai].seq, pos) {
                             Ok(next) => return Ok(next),
-                            Err(()) => {
-                                ctx.counters.backtracks += 1;
-                                ctx.events.truncate(mark);
-                            }
+                            Err(()) => ctx.abandon(mark)?,
                         }
                     }
                 }
@@ -882,90 +816,14 @@ impl Parser {
                     }
                     let mark = ctx.events.len();
                     ctx.counters.alt_attempts += 1;
-                    match self.ev_bt_seq(ctx, &alt.seq, pos) {
+                    match self.ev_seq(ctx, &alt.seq, pos) {
                         Ok(next) => return Ok(next),
-                        Err(()) => {
-                            ctx.counters.backtracks += 1;
-                            ctx.events.truncate(mark);
-                        }
+                        Err(()) => ctx.abandon(mark)?,
                     }
                 }
                 Err(())
             }
         }
-    }
-
-    /// Expand one flat nonterminal. Real rules (`open`) wrap their children
-    /// in `Open`/`Close`; synthetic rules introduced by flattening splice
-    /// their children into the enclosing expansion, exactly like the seed
-    /// engine did.
-    fn ev_ll1(
-        &self,
-        ctx: &mut EvCtx<'_>,
-        prod: u32,
-        pos: usize,
-        open: bool,
-    ) -> Result<usize, ()> {
-        // Same frontier-owner tracking as the backtracking engine.
-        let saved = ctx.notes.cur_prod;
-        ctx.notes.cur_prod = prod;
-        let result = self.ev_ll1_inner(ctx, prod, pos, open);
-        ctx.notes.cur_prod = saved;
-        result
-    }
-
-    fn ev_ll1_inner(
-        &self,
-        ctx: &mut EvCtx<'_>,
-        prod: u32,
-        mut pos: usize,
-        open: bool,
-    ) -> Result<usize, ()> {
-        // SAFETY: `prod` comes from compiled `FTerm::Nt` indices (or
-        // `fstart`), all produced by the compiler as indices into
-        // `fprods`; `row` is built dense over `n_tokens` entries and every
-        // scanned kind id is an index into the scanner's rule list, which
-        // is exactly `n_tokens` long. Hoisting both bounds checks out of
-        // the dispatch (one per expansion, executed for every nonterminal
-        // of every statement) is the LL(1) driver's hottest win.
-        debug_assert!((prod as usize) < self.fprods.len());
-        let fprod = unsafe { self.fprods.get_unchecked(prod as usize) };
-        let alt_index = match ctx.kind_ids.get(pos) {
-            Some(&k) => {
-                debug_assert!((k as usize) < fprod.row.len());
-                unsafe { *fprod.row.get_unchecked(k as usize) }
-            }
-            None => fprod.eof_alt,
-        };
-        if alt_index == NO_ALT {
-            ctx.notes.note_set(pos, &fprod.expected);
-            return Err(());
-        }
-        if open {
-            ctx.events.push(Event::Open { prod, alt: alt_index as u32 });
-        }
-        let alt = &fprod.alts[alt_index as usize];
-        for term in &alt.seq {
-            match term {
-                FTerm::Tok(kind) => match ctx.kind_ids.get(pos) {
-                    Some(k) if k == kind => {
-                        ctx.events.push(Event::Token { index: pos as u32 });
-                        pos += 1;
-                    }
-                    _ => {
-                        ctx.notes.note_id(pos, *kind);
-                        return Err(());
-                    }
-                },
-                FTerm::Nt { idx, synthetic } => {
-                    pos = self.ev_ll1(ctx, *idx, pos, !*synthetic)?;
-                }
-            }
-        }
-        if open {
-            ctx.events.push(Event::Close);
-        }
-        Ok(pos)
     }
 }
 
@@ -1115,56 +973,6 @@ impl Compiler<'_> {
             })
             .collect()
     }
-
-    fn compile_flat(&self) -> (Vec<FProd>, u32) {
-        let flat = &self.analysis.flat;
-        let index: HashMap<&str, u32> = flat
-            .productions()
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (p.name.as_str(), i as u32))
-            .collect();
-        let mut prods: Vec<FProd> = flat
-            .productions()
-            .iter()
-            .map(|p| FProd {
-                name: p.name.clone(),
-                alts: p
-                    .alternatives
-                    .iter()
-                    .map(|alt| FAlt {
-                        label: alt.label.clone(),
-                        seq: alt
-                            .seq
-                            .iter()
-                            .map(|t| match t {
-                                Term::Token(t) => FTerm::Tok(self.tok_id(t)),
-                                Term::NonTerminal(n) => FTerm::Nt {
-                                    idx: index[n.as_str()],
-                                    synthetic: is_synthetic(n),
-                                },
-                                _ => unreachable!("flattened grammar has no nested terms"),
-                            })
-                            .collect(),
-                    })
-                    .collect(),
-                row: vec![NO_ALT; self.n_tokens].into_boxed_slice(),
-                eof_alt: NO_ALT,
-                expected: TokBits::new(self.n_tokens),
-            })
-            .collect();
-        for ((nt, tok), &alt) in &self.analysis.table {
-            let pi = index[nt.as_str()] as usize;
-            if tok == EOF {
-                prods[pi].eof_alt = alt as u16;
-            } else {
-                let id = self.tok_id(tok);
-                prods[pi].row[id as usize] = alt as u16;
-                prods[pi].expected.insert(id);
-            }
-        }
-        (prods, index[flat.start()])
-    }
 }
 
 // --------------------------------------------------- failure-frontier notes
@@ -1304,10 +1112,31 @@ pub(crate) struct EvCtx<'a> {
     pub(crate) memo: &'a mut FailureMemo,
     pub(crate) notes: &'a mut Notes,
     pub(crate) counters: &'a mut RunCounters,
-    /// Consult compiled LL(k) dispatch tables before speculating. The
-    /// session disables this on its diagnostics rerun so error messages
-    /// stay byte-identical to the seed engine.
+    /// Consult compiled LL(k) dispatch tables before choosing by FIRST
+    /// set. The session disables this on the backtracking mode's
+    /// diagnostics rerun so error messages stay byte-identical to the seed
+    /// engine.
     pub(crate) use_tables: bool,
+    /// Roll failed probes back and try the next alternative
+    /// ([`EngineMode::Backtracking`]); when `false`, every choice commits
+    /// and the memo is unused (it is not sized for the parse).
+    pub(crate) speculate: bool,
+}
+
+impl EvCtx<'_> {
+    /// Settle a failed probe that began at event mark `mark`. Speculation
+    /// rolls the probe back (one buffer truncation) so the caller can try
+    /// its next alternative; without speculation the probe was the
+    /// committed choice, so its failure is the parse's.
+    #[inline]
+    fn abandon(&mut self, mark: usize) -> Result<(), ()> {
+        if !self.speculate {
+            return Err(());
+        }
+        self.counters.backtracks += 1;
+        self.events.truncate(mark);
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -1475,6 +1304,25 @@ mod tests {
     }
 
     #[test]
+    fn predictive_mode_commits_instead_of_rolling_back() {
+        // `b?` conflicts with the following IDENT; the k = 2 table decides
+        // it, so both modes accept "x". Without dispatch the predictive
+        // mode commits to `b` and fails where backtracking rolls back.
+        let build = |mode, k| {
+            let g = parse_grammar("grammar g; a : b? IDENT ; b : IDENT IDENT ;").unwrap();
+            let t = parse_tokens("tokens t; IDENT = /[a-z]+/; WS = skip / +/;").unwrap();
+            Parser::new(g, &t).unwrap().with_mode(mode).with_lookahead_k(k)
+        };
+        assert!(build(EngineMode::Ll1Table, 3).parse("x").is_ok());
+        assert!(build(EngineMode::Backtracking, 1).parse("x").is_ok());
+        let ll1 = build(EngineMode::Ll1Table, 1);
+        assert!(ll1.parse("x y z").is_ok());
+        let mut s = ll1.session();
+        assert!(s.parse_tree("x").is_err());
+        assert_eq!(s.counters().backtracks, 0);
+    }
+
+    #[test]
     fn stats_reported() {
         let p = select_parser(EngineMode::Backtracking);
         let s = p.stats();
@@ -1590,11 +1438,11 @@ mod tests {
         assert_eq!(p.decision_tables(), 1);
         let mut s = p.session();
         assert_eq!(s.parse_tree("X Z").unwrap().to_cst().label(), Some("xz"));
-        let stats = s.stats();
-        assert!(stats.decision_table_hits >= 1, "stats: {stats:?}");
+        let stats = s.counters();
+        assert!(stats.decision_hits >= 1, "stats: {stats:?}");
         assert_eq!(stats.backtracks, 0, "stats: {stats:?}");
         assert_eq!(s.parse_tree("X Y").unwrap().to_cst().label(), Some("xy"));
-        assert_eq!(s.stats().backtracks, 0);
+        assert_eq!(s.counters().backtracks, 0);
     }
 
     #[test]
@@ -1605,8 +1453,8 @@ mod tests {
         assert_eq!(p.lookahead_k(), 1);
         let mut s = p.session();
         assert_eq!(s.parse_tree("X Z").unwrap().to_cst().label(), Some("xz"));
-        let stats = s.stats();
-        assert_eq!(stats.decision_table_hits, 0, "stats: {stats:?}");
+        let stats = s.counters();
+        assert_eq!(stats.decision_hits, 0, "stats: {stats:?}");
         assert!(stats.backtracks >= 1, "stats: {stats:?}");
     }
 
@@ -1623,9 +1471,9 @@ mod tests {
         assert!(p.decision_tables() >= 1);
         let mut s = p.session();
         assert!(s.parse_tree("A ; A ;").is_ok());
-        let stats = s.stats();
+        let stats = s.counters();
         assert_eq!(stats.backtracks, 0, "stats: {stats:?}");
-        assert!(stats.decision_table_hits >= 1, "stats: {stats:?}");
+        assert!(stats.decision_hits >= 1, "stats: {stats:?}");
         // Seed behavior without tables: the same input costs a backtrack.
         let p1 = {
             let g = parse_grammar(
@@ -1637,7 +1485,7 @@ mod tests {
         };
         let mut s1 = p1.session();
         assert!(s1.parse_tree("A ; A ;").is_ok());
-        assert!(s1.stats().backtracks >= 1, "stats: {:?}", s1.stats());
+        assert!(s1.counters().backtracks >= 1, "stats: {:?}", s1.counters());
     }
 
     #[test]

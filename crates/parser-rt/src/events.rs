@@ -1,6 +1,6 @@
 //! Flat parse-event streams — the wire format of the green-tree core.
 //!
-//! Instead of constructing tree nodes while parsing, both engines append
+//! Instead of constructing tree nodes while parsing, the engine appends
 //! [`Event`]s to one contiguous buffer. The stream is a pre-order encoding
 //! of the concrete syntax tree:
 //!
@@ -10,15 +10,15 @@
 //!   into the token stream, so the lexeme stays a span into the input);
 //! * [`Event::Close`] — the most recently opened expansion ends.
 //!
-//! The payoff is in the backtracking engine: abandoning a speculative
+//! The payoff is in the backtracking mode: abandoning a speculative
 //! alternative is a single `Vec::truncate` of the event buffer instead of
 //! dropping a speculatively built subtree node by node. A well-formed
 //! stream (every `Open` closed, produced only for successful parses) is
 //! materialized into a [`crate::tree::SyntaxTree`] by a separate builder.
 //!
-//! Production and alternative ids are indices into the *compiled* grammar
-//! tables of the engine that emitted the stream ([`crate::engine::Parser`]
-//! resolves them back to names), so events are `Copy` and carry no heap
+//! Production and alternative ids are indices into the parser's
+//! *compiled* grammar tables ([`crate::engine::Parser`] resolves them back
+//! to names), so events are `Copy` and carry no heap
 //! data at all.
 
 /// Sentinel `prod` id marking an *error node* in a resilient event
@@ -142,7 +142,7 @@ pub enum Event {
     /// A nonterminal expansion begins: compiled production `prod` matched
     /// via alternative `alt`.
     Open {
-        /// Compiled production id (engine-mode specific table index).
+        /// Compiled production id (index into the parser's productions).
         prod: u32,
         /// Index of the matched alternative within the production.
         alt: u32,

@@ -1,25 +1,22 @@
 //! Parser runtime for `sqlweave` — the from-scratch replacement for the
 //! ANTLR/JavaCC parser generators the paper relies on.
 //!
-//! A [`Parser`] is built from a composed grammar plus its token set and can
-//! run in two engine modes (the ablation of Experiment B4):
+//! A [`Parser`] is built from a composed grammar plus its token set. Its
+//! one engine interprets the compiled EBNF IR, deciding each choice with
+//! LL(k ≤ 3) dispatch tables and FIRST-set pruning, in two modes (the
+//! ablation of Experiment B4): [`EngineMode::Backtracking`] speculates
+//! where the tables cannot decide (ordered alternatives with rollback,
+//! PEG-style like ANTLR's syntactic predicates, plus O(1) failure
+//! memoization); [`EngineMode::Ll1Table`] commits to every choice and
+//! accepts exactly what the backtracking mode parses without a rollback,
+//! with identical trees.
 //!
-//! * [`EngineMode::Backtracking`] — a recursive-descent interpreter over the
-//!   EBNF IR with FIRST-set pruning, ordered-alternative backtracking
-//!   (PEG-style resolution of non-LL(1) spots, like ANTLR's decision
-//!   engine), and O(1) failure memoization of re-probed nonterminals.
-//! * [`EngineMode::Ll1Table`] — a table-driven predictive parser over the
-//!   flattened BNF; requires the grammar to be LL(1) at every decision the
-//!   input exercises (declaration order breaks reported conflicts).
-//!
-//! Both engines emit flat [`events::Event`] streams instead of building
+//! The engine emits flat [`events::Event`] streams instead of building
 //! nodes (backtracking is a buffer truncation), which a separate builder
 //! materializes into an arena-backed [`tree::SyntaxTree`] with zero-copy
 //! token text. The seed [`cst::CstNode`] API survives as a conversion
-//! ([`tree::SyntaxTree::to_cst`]), and both engines still produce
-//! identical parse trees (synthetic nonterminals introduced by flattening
-//! are spliced away). [`session::ParseSession`] recycles every buffer
-//! across statements; [`Parser::parse_many`] and
+//! ([`tree::SyntaxTree::to_cst`]). [`session::ParseSession`] recycles every
+//! buffer across statements; [`Parser::parse_many`] and
 //! [`Parser::parse_many_parallel`] batch over it.
 //!
 //! Beyond the strict single-error contract, [`Parser::parse_resilient`]

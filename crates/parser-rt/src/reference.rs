@@ -1,25 +1,30 @@
-//! The seed parse engines, kept verbatim as a differential oracle.
+//! The seed parse engine, kept verbatim as a differential oracle.
 //!
-//! Before the green-tree rework, both engines materialized [`CstNode`]s
+//! Before the green-tree rework, the engine materialized [`CstNode`]s
 //! *while* parsing: every token allocated its kind name and lexeme, every
 //! expansion cloned its production name and label, and abandoning a
 //! speculative alternative dropped a fully built subtree. This module
 //! preserves that implementation — same traversal order, same
-//! farthest-failure notes, no memoization — so that:
+//! farthest-failure notes, no memoization, no dispatch tables when
+//! speculating — so that:
 //!
-//! * the cross-engine differential suite can assert the event-built
+//! * the differential suites can assert the event-built
 //!   [`crate::tree::SyntaxTree`] converts to the *identical* `CstNode` the
-//!   seed engines produced, for every statement;
+//!   seed engine produced, for every statement;
 //! * error-message regression tests can prove the memo table and the
 //!   note-recording fast path changed no reported diagnostics;
 //! * the allocation-ablation benchmark (Experiment B4) has an honest
 //!   "before" to measure the event core against.
 //!
+//! In [`EngineMode::Ll1Table`] the oracle walks the same seed traversal
+//! without speculation: each choice consults the dispatch tables, then
+//! FIRST pruning, and a failure of the chosen alternative is final.
+//!
 //! It is not a supported parsing API; use [`Parser::parse`] or
 //! [`crate::session::ParseSession`].
 
 use crate::cst::CstNode;
-use crate::engine::{CTerm, EngineMode, FTerm, Notes, Parser, NO_ALT};
+use crate::engine::{CTerm, EngineMode, Notes, Parser, TokBits, NO_DECISION};
 use crate::errors::ParseError;
 use sqlweave_lexgen::Token;
 use std::collections::BTreeSet;
@@ -31,9 +36,20 @@ struct RefCtx<'a> {
     input: &'a str,
     parser: &'a Parser,
     notes: Notes,
+    /// Commit to every choice ([`EngineMode::Ll1Table`]).
+    predict: bool,
 }
 
 impl RefCtx<'_> {
+    /// The alternative a predictive choice's dispatch table selects at
+    /// `pos`, if any (never when speculating: the seed engine has no
+    /// tables).
+    fn dispatch(&self, decision: u32, pos: usize) -> Option<usize> {
+        (self.predict && decision != NO_DECISION && self.parser.tables_active())
+            .then(|| self.parser.dispatch(&self.kind_ids, decision, pos))
+            .flatten()
+    }
+
     fn token_node(&self, pos: usize) -> CstNode {
         let t = &self.toks[pos];
         CstNode::Token {
@@ -49,7 +65,7 @@ impl Parser {
     /// Parse with the seed (pre-event) implementation: direct per-node CST
     /// construction, no failure memo. Kept for differential testing and
     /// the allocation-ablation benchmark; behaviorally identical to
-    /// [`Parser::parse`].
+    /// [`Parser::parse`] in either engine mode.
     pub fn parse_reference(&self, input: &str) -> Result<CstNode, ParseError> {
         let toks = self.scanner.scan(input).map_err(|e| ParseError {
             at: e.at,
@@ -66,12 +82,9 @@ impl Parser {
             input,
             parser: self,
             notes: Notes::new(self.n_tokens),
+            predict: self.mode() == EngineMode::Ll1Table,
         };
-        let result = match self.mode() {
-            EngineMode::Backtracking => self.ref_bt_nt(&mut ctx, self.cstart, 0),
-            EngineMode::Ll1Table => self.ref_ll1_nt(&mut ctx, self.fstart, 0),
-        };
-        match result {
+        match self.ref_bt_nt(&mut ctx, self.cstart, 0) {
             Ok((node, next)) if next == toks.len() => Ok(node),
             Ok((_, next)) => {
                 ctx.notes.note_eof(next);
@@ -81,13 +94,15 @@ impl Parser {
         }
     }
 
-    // ---------- seed backtracking engine ----------
-
     fn ref_bt_nt(&self, ctx: &mut RefCtx<'_>, prod: u32, pos: usize) -> Result<(CstNode, usize), ()> {
         let prod = &self.cprods[prod as usize];
         let la = ctx.kind_ids.get(pos).copied();
-        for alt in &prod.alts {
-            if !alt.nullable {
+        let chosen = ctx.dispatch(prod.decision, pos);
+        for (ai, alt) in prod.alts.iter().enumerate() {
+            if chosen.is_some_and(|c| c != ai) {
+                continue;
+            }
+            if chosen.is_none() && !alt.nullable {
                 match la {
                     Some(k) if alt.first.contains(k) => {}
                     _ => {
@@ -97,11 +112,12 @@ impl Parser {
                 }
             }
             let mut children = Vec::new();
-            if let Ok(next) = self.ref_bt_seq(ctx, &alt.seq, pos, &mut children) {
-                return Ok((
-                    CstNode::rule(&prod.name, alt.label.clone(), children),
-                    next,
-                ));
+            match self.ref_bt_seq(ctx, &alt.seq, pos, &mut children) {
+                Ok(next) => {
+                    return Ok((CstNode::rule(&prod.name, alt.label.clone(), children), next));
+                }
+                Err(()) if ctx.predict => return Err(()),
+                Err(()) => {}
             }
         }
         Err(())
@@ -125,16 +141,22 @@ impl Parser {
         &self,
         ctx: &mut RefCtx<'_>,
         body: &[CTerm],
-        first: &crate::engine::TokBits,
+        first: &TokBits,
+        decision: u32,
         mut pos: usize,
         children: &mut Vec<CstNode>,
-    ) -> usize {
+    ) -> Result<usize, ()> {
         loop {
             match ctx.kind_ids.get(pos) {
                 Some(&k) if first.contains(k) => {
+                    // Alternative 1 of the lowered `body star | ε` is the exit.
+                    if ctx.dispatch(decision, pos) == Some(1) {
+                        break;
+                    }
                     let mark = children.len();
                     match self.ref_bt_seq(ctx, body, pos, children) {
                         Ok(next) if next > pos => pos = next,
+                        _ if ctx.predict => return Err(()),
                         _ => {
                             children.truncate(mark);
                             break;
@@ -147,7 +169,7 @@ impl Parser {
                 }
             }
         }
-        pos
+        Ok(pos)
     }
 
     fn ref_bt_term(
@@ -173,11 +195,16 @@ impl Parser {
                 children.push(node);
                 Ok(next)
             }
-            CTerm::Opt { body, first, .. } => {
+            CTerm::Opt { body, first, decision } => {
                 if matches!(ctx.kind_ids.get(pos), Some(&k) if first.contains(k)) {
+                    // Alternative 1 of the lowered `body | ε` is the skip.
+                    if ctx.dispatch(*decision, pos) == Some(1) {
+                        return Ok(pos);
+                    }
                     let mark = children.len();
                     match self.ref_bt_seq(ctx, body, pos, children) {
                         Ok(next) => return Ok(next),
+                        Err(()) if ctx.predict => return Err(()),
                         Err(()) => children.truncate(mark),
                     }
                 } else {
@@ -186,17 +213,21 @@ impl Parser {
                 }
                 Ok(pos)
             }
-            CTerm::Star { body, first, .. } => {
-                Ok(self.ref_bt_repeat(ctx, body, first, pos, children))
+            CTerm::Star { body, first, decision } => {
+                self.ref_bt_repeat(ctx, body, first, *decision, pos, children)
             }
-            CTerm::Plus { body, first, .. } => {
+            CTerm::Plus { body, first, decision } => {
                 let next = self.ref_bt_seq(ctx, body, pos, children)?;
-                Ok(self.ref_bt_repeat(ctx, body, first, next, children))
+                self.ref_bt_repeat(ctx, body, first, *decision, next, children)
             }
-            CTerm::Group { alts, .. } => {
+            CTerm::Group { alts, decision } => {
                 let la = ctx.kind_ids.get(pos).copied();
-                for alt in alts {
-                    if !alt.nullable {
+                let chosen = ctx.dispatch(*decision, pos);
+                for (ai, alt) in alts.iter().enumerate() {
+                    if chosen.is_some_and(|c| c != ai) {
+                        continue;
+                    }
+                    if chosen.is_none() && !alt.nullable {
                         match la {
                             Some(k) if alt.first.contains(k) => {}
                             _ => {
@@ -208,72 +239,13 @@ impl Parser {
                     let mark = children.len();
                     match self.ref_bt_seq(ctx, &alt.seq, pos, children) {
                         Ok(next) => return Ok(next),
+                        Err(()) if ctx.predict => return Err(()),
                         Err(()) => children.truncate(mark),
                     }
                 }
                 Err(())
             }
         }
-    }
-
-    // ---------- seed LL(1) table engine ----------
-
-    fn ref_ll1_nt(
-        &self,
-        ctx: &mut RefCtx<'_>,
-        prod: u32,
-        pos: usize,
-    ) -> Result<(CstNode, usize), ()> {
-        let name = self.fprods[prod as usize].name.clone();
-        let (children, next, label) = self.ref_ll1_expand(ctx, prod, pos)?;
-        Ok((CstNode::rule(&name, label, children), next))
-    }
-
-    /// Expand one flat nonterminal, returning its children (used both for
-    /// real rules and for splicing synthetic ones).
-    fn ref_ll1_expand(
-        &self,
-        ctx: &mut RefCtx<'_>,
-        prod: u32,
-        mut pos: usize,
-    ) -> Result<(Vec<CstNode>, usize, Option<String>), ()> {
-        let fprod = &self.fprods[prod as usize];
-        let alt_index = match ctx.kind_ids.get(pos) {
-            Some(&k) => fprod.row[k as usize],
-            None => fprod.eof_alt,
-        };
-        if alt_index == NO_ALT {
-            ctx.notes.note_set(pos, &fprod.expected);
-            return Err(());
-        }
-        let alt = &fprod.alts[alt_index as usize];
-        let mut children = Vec::new();
-        for term in &alt.seq {
-            match term {
-                FTerm::Tok(kind) => match ctx.kind_ids.get(pos) {
-                    Some(k) if k == kind => {
-                        children.push(ctx.token_node(pos));
-                        pos += 1;
-                    }
-                    _ => {
-                        ctx.notes.note_id(pos, *kind);
-                        return Err(());
-                    }
-                },
-                FTerm::Nt { idx, synthetic } => {
-                    if *synthetic {
-                        let (spliced, next, _) = self.ref_ll1_expand(ctx, *idx, pos)?;
-                        children.extend(spliced);
-                        pos = next;
-                    } else {
-                        let (node, next) = self.ref_ll1_nt(ctx, *idx, pos)?;
-                        children.push(node);
-                        pos = next;
-                    }
-                }
-            }
-        }
-        Ok((children, pos, alt.label.clone()))
     }
 }
 

@@ -16,9 +16,7 @@
 //! scoped workers, one session per worker (a [`Parser`] is shareable by
 //! reference across threads).
 
-use crate::engine::{
-    EngineMode, EvCtx, FailureMemo, Notes, Parser, ParserStats, RunCounters, NO_PROD,
-};
+use crate::engine::{EngineMode, EvCtx, FailureMemo, Notes, Parser, RunCounters};
 use crate::errors::ParseError;
 use crate::events::{split_elements, ElemKind, Event, TopElem, ERROR_NODE};
 use crate::tree::{SyntaxTree, TreeBuffers};
@@ -112,11 +110,9 @@ struct IncDoc {
     tok_probes: Vec<(usize, usize)>,
     /// Syntax diagnostics for the whole document, ascending by byte
     /// offset. Shared with [`EditOutcome::errors`] by reference count so a
-    /// document full of diagnostics (the predictive engine's resolved
-    /// conflicts reject some inputs the backtracking engine accepts) is
-    /// delivered per edit without cloning; each edit repairs it in place
-    /// through [`Arc::make_mut`], which is free once the previous outcome
-    /// is dropped.
+    /// document full of diagnostics is delivered per edit without cloning;
+    /// each edit repairs it in place through [`Arc::make_mut`], which is
+    /// free once the previous outcome is dropped.
     syn: Arc<Vec<ParseError>>,
     /// The document's top-level elements in order, partitioning the token
     /// stream.
@@ -240,7 +236,7 @@ fn normalize_spans(
     tok_delta: isize,
     delta: isize,
 ) {
-    for i in from..to {
+    for (i, tok) in toks.iter_mut().enumerate().take(to).skip(from) {
         if (fresh_lo..fresh_hi).contains(&i) {
             continue;
         }
@@ -252,8 +248,8 @@ fn normalize_spans(
         let c = chunk_tok_lo.partition_point(|&lo| lo <= old_i) - 1;
         let b = chunks[c].base + extra;
         if b != 0 {
-            toks[i].start = (toks[i].start as isize + b) as usize;
-            toks[i].end = (toks[i].end as isize + b) as usize;
+            tok.start = (tok.start as isize + b) as usize;
+            tok.end = (tok.end as isize + b) as usize;
         }
     }
 }
@@ -388,8 +384,8 @@ fn lex_to_parse(e: &LexError) -> ParseError {
 /// Only the few diagnostics still on the edit's own last line pay a full
 /// line/column recomputation. This keeps each edit independent of how
 /// many diagnostics the document carries beyond one pass of integer
-/// arithmetic — the predictive engine can hold tens of thousands of
-/// resolved-conflict diagnostics against a large document.
+/// arithmetic — a large faulty document can hold tens of thousands of
+/// diagnostics.
 fn repair_suffix_diags(
     syn: &mut [ParseError],
     text: &str,
@@ -505,9 +501,9 @@ fn widen_left(chunks: &[Chunk], mut e: usize) -> usize {
 /// first candidate: absorb error nodes unconditionally (error clusters
 /// coalesce and merge diagnostics across element boundaries) plus one
 /// clean statement of margin, and stop *before* the next clean statement
-/// or bare separator — the window then ends on a boundary both engines
-/// treat as end-of-input (a trailing separator would spuriously fail the
-/// predictive engine's strict window parse).
+/// or bare separator — the window then ends on a boundary both modes
+/// treat as end-of-input (a trailing separator would spuriously fail a
+/// predictive strict window parse without the k = 2 `SEMI` table).
 fn widen_right(chunks: &[Chunk], mut e: usize) -> usize {
     let mut margin = 1;
     while e < chunks.len() {
@@ -552,6 +548,27 @@ fn splice_chunk(
             other => other,
         });
     }
+}
+
+/// Cut a failed attempt's events just after the root-level token with
+/// (attempt-relative) index `cut - 1` and close the root, turning them into
+/// a chunk [`splice_chunk`] accepts. Returns `false`, leaving the buffer
+/// alone, when the attempt never emitted that token at the root level.
+fn close_at_top_level_token(events: &mut Vec<Event>, cut: usize) -> bool {
+    let mut depth = 0usize;
+    for (i, ev) in events.iter().enumerate() {
+        match *ev {
+            Event::Open { .. } => depth += 1,
+            Event::Close => depth -= 1,
+            Event::Token { index } if depth == 1 && index as usize + 1 == cut => {
+                events.truncate(i + 1);
+                events.push(Event::Close);
+                return true;
+            }
+            Event::Token { .. } => {}
+        }
+    }
+    false
 }
 
 /// The parser-independent buffers of a [`ParseSession`], detached from the
@@ -624,28 +641,17 @@ impl<'p> ParseSession<'p> {
     }
 
     /// Cumulative failure-memo hits across all parses of this session
-    /// (backtracking engine only; each hit is a whole nonterminal
+    /// (backtracking mode only; each hit is a whole nonterminal
     /// re-derivation skipped).
     pub fn memo_hits(&self) -> u64 {
         self.memo.hits()
     }
 
-    /// Cumulative backtracking-engine counters (dispatch hits, speculative
-    /// probes, truncations) across all parses of this session.
+    /// Cumulative engine counters (dispatch hits, probes, truncations,
+    /// recoveries) across all parses of this session. Static parser
+    /// metrics are [`Parser::stats`].
     pub fn counters(&self) -> RunCounters {
         self.counters
-    }
-
-    /// Static parser metrics with this session's dynamic counters filled in.
-    pub fn stats(&self) -> ParserStats {
-        let mut s = self.parser.stats();
-        s.decision_table_hits = self.counters.decision_hits;
-        s.alt_attempts = self.counters.alt_attempts;
-        s.backtracks = self.counters.backtracks;
-        s.failure_memo_hits = self.memo.hits();
-        s.error_recoveries = self.counters.recoveries;
-        s.recovery_skipped_tokens = self.counters.skipped_tokens;
-        s
     }
 
     /// Parse one statement into a [`SyntaxTree`] view borrowing this
@@ -671,7 +677,6 @@ impl<'p> ParseSession<'p> {
                 let root = self.tree.build(&self.events);
                 Ok(SyntaxTree {
                     parser,
-                    mode: parser.mode(),
                     input,
                     toks: &self.toks,
                     nodes: &self.tree.nodes,
@@ -694,39 +699,33 @@ impl<'p> ParseSession<'p> {
     fn run_strict(&mut self, lo: usize, hi: usize) -> Result<usize, ()> {
         let parser = self.parser;
         let n = hi - lo;
-        self.events.clear();
-        self.notes.reset();
-        if parser.mode() == EngineMode::Backtracking {
-            self.memo.reset(parser.cprods.len(), n + 1);
-        }
-        let use_tables = parser.mode() == EngineMode::Backtracking && parser.tables_active();
-        let mut result = parser.run_events(&mut EvCtx {
-            kind_ids: &self.kind_ids[lo..hi],
-            events: &mut self.events,
-            memo: &mut self.memo,
-            notes: &mut self.notes,
-            counters: &mut self.counters,
-            use_tables,
-        });
-        if use_tables && !matches!(result, Ok(next) if next == n) {
-            // A dispatch hit skips probes whose failure notes feed the
-            // error message, so any failing outcome (hard error or
-            // trailing input) is re-derived with tables disabled: the
-            // accept/reject outcome is provably identical, and the
-            // diagnostics become byte-identical to the seed engine.
+        let speculate = parser.mode() == EngineMode::Backtracking;
+        let mut use_tables = parser.tables_active();
+        loop {
             self.events.clear();
             self.notes.reset();
-            self.memo.reset(parser.cprods.len(), n + 1);
-            result = parser.run_events(&mut EvCtx {
+            if speculate {
+                self.memo.reset(parser.cprods.len(), n + 1);
+            }
+            let result = parser.run_events(&mut EvCtx {
                 kind_ids: &self.kind_ids[lo..hi],
                 events: &mut self.events,
                 memo: &mut self.memo,
                 notes: &mut self.notes,
                 counters: &mut self.counters,
-                use_tables: false,
+                use_tables,
+                speculate,
             });
+            // A dispatch hit skips probes whose failure notes feed the
+            // error message, so any failing outcome (hard error or
+            // trailing input) is re-derived with tables disabled: with
+            // speculation the accept/reject outcome is provably identical,
+            // and the diagnostics become byte-identical to the seed engine.
+            if !(speculate && use_tables) || matches!(result, Ok(next) if next == n) {
+                return result;
+            }
+            use_tables = false;
         }
-        result
     }
 
     /// The panic-mode recovery driver over the token window `lo..hi` of a
@@ -749,7 +748,6 @@ impl<'p> ParseSession<'p> {
         errors: &mut Vec<ParseError>,
     ) -> DriveResult {
         let parser = self.parser;
-        let mode = parser.mode();
         let counters_mark = self.counters;
         let errors_mark = errors.len();
 
@@ -812,9 +810,12 @@ impl<'p> ParseSession<'p> {
 
             // How far did this attempt commit? The backtracking skeleton
             // accepts a statement prefix directly (`Ok(next)` short of the
-            // input); the predictive engine fails hard instead, so retry
-            // the parse cut at the last statement boundary before the
-            // failure — both engines then agree on the segmentation.
+            // input); the predictive mode fails hard instead, so keep the
+            // statements up to the last separator before the failure —
+            // both modes then agree on the segmentation. A predictive
+            // attempt never truncates its events, so they already hold
+            // that prefix; a speculating one rolled everything back and
+            // re-parses it.
             let mut good = pos;
             match result {
                 Ok(next) if next > 0 => {
@@ -827,18 +828,12 @@ impl<'p> ParseSession<'p> {
                         .rev()
                         .find(|&b| parser.is_sync_token(self.kind_ids[b - 1]));
                     if let Some(b) = boundary {
-                        // Retry with the separator included, then without:
-                        // the predictive engine's LL(1) table commits the
-                        // trailing `SEMI` to the repetition (expecting
-                        // another statement), so `stmt SEMI` only parses
-                        // with the separator cut off.
-                        for cut in [b, b - 1] {
-                            if cut > pos && self.run_strict(pos, cut) == Ok(cut - pos) {
-                                splice_chunk(&mut self.revents, &self.events, pos, &mut root);
-                                good = cut;
-                                last_is_error = false;
-                                break;
-                            }
+                        if close_at_top_level_token(&mut self.events, b - pos)
+                            || self.run_strict(pos, b) == Ok(b - pos)
+                        {
+                            splice_chunk(&mut self.revents, &self.events, pos, &mut root);
+                            good = b;
+                            last_is_error = false;
                         }
                     }
                 }
@@ -854,9 +849,7 @@ impl<'p> ParseSession<'p> {
             // into the error node — the separator belongs to the broken
             // statement) or a token in FOLLOW of the production that owned
             // the failure (left in place for the resumed parse).
-            let follow = (fail_prod != NO_PROD)
-                .then(|| parser.follow_bits(mode, fail_prod))
-                .flatten();
+            let follow = parser.follow_bits(fail_prod);
             let mut resume = hi;
             let mut was_sync = false;
             for i in good.max(fail_abs)..hi {
@@ -913,7 +906,6 @@ impl<'p> ParseSession<'p> {
     /// 2·tokens + 4) guarantees termination on any input.
     pub fn parse_resilient<'s>(&'s mut self, input: &'s str) -> ParseOutcome<'s> {
         let parser = self.parser;
-        let mode = parser.mode();
         if let Some(doc) = self.inc.as_deref_mut() {
             // The tree arena is shared; a standalone parse clobbers any
             // cached document materialization.
@@ -948,7 +940,6 @@ impl<'p> ParseSession<'p> {
         ParseOutcome {
             tree: SyntaxTree {
                 parser,
-                mode,
                 input,
                 toks: &self.toks,
                 nodes: &self.tree.nodes,
@@ -1185,7 +1176,6 @@ impl<'p> ParseSession<'p> {
         }
         SyntaxTree {
             parser,
-            mode: parser.mode(),
             input: &doc.text,
             toks: &doc.toks,
             nodes: &tree.nodes,
@@ -1848,18 +1838,14 @@ mod tests {
         for mode in [EngineMode::Backtracking, EngineMode::Ll1Table] {
             let p = script_parser(mode);
             let mut s = p.session();
-            let mut inputs = vec![
+            // The trailing `SEMI` is an LL(1) conflict the k = 2 dispatch
+            // table resolves, so the predictive mode accepts it too.
+            for input in [
                 "SELECT a FROM t",
                 "SELECT a FROM t; SELECT * FROM u",
                 "SELECT a, b FROM t WHERE a = b; SELECT c FROM v",
-            ];
-            if mode == EngineMode::Backtracking {
-                // The LL(1) table resolves the trailing-SEMI conflict in
-                // favor of the repetition, so only the backtracking engine
-                // accepts a trailing semicolon strictly.
-                inputs.push("SELECT a FROM t; SELECT c FROM v;");
-            }
-            for input in inputs {
+                "SELECT a FROM t; SELECT c FROM v;",
+            ] {
                 let strict = p.parse(input).unwrap();
                 let outcome = s.parse_resilient(input);
                 assert!(outcome.errors.is_empty(), "{mode:?} on {input:?}");
@@ -1953,14 +1939,14 @@ mod tests {
     }
 
     #[test]
-    fn resilient_counters_surface_through_stats() {
+    fn resilient_counters_surface_through_counters() {
         let p = script_parser(EngineMode::Backtracking);
         let mut s = p.session();
         let outcome = s.parse_resilient("SELECT a FROM t; SELECT FROM u; SELECT b FROM v");
         assert_eq!(outcome.errors.len(), 1);
-        let stats = s.stats();
-        assert_eq!(stats.error_recoveries, 1);
-        assert!(stats.recovery_skipped_tokens >= 2, "{stats:?}");
+        let counters = s.counters();
+        assert_eq!(counters.recoveries, 1);
+        assert!(counters.skipped_tokens >= 2, "{counters:?}");
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! reproduces the seed CST shape exactly.
 
 use crate::cst::CstNode;
-use crate::engine::{EngineMode, Parser};
+use crate::engine::Parser;
 use crate::events::Event;
 use sqlweave_lexgen::Token;
 use std::fmt;
@@ -65,7 +65,7 @@ impl TreeBuffers {
     /// Build the arena directly from a *chunked* event representation: a
     /// root wrapper around a sequence of per-chunk event slices whose
     /// token indices are chunk-relative (absolute index = chunk-relative
-    /// + the chunk's `tok_base`). Equivalent to flattening the chunks
+    /// index plus the chunk's `tok_base`). Equivalent to flattening the chunks
     /// into one root-wrapped stream and calling [`TreeBuffers::build`],
     /// without materializing that stream — this is how a lazily
     /// maintained document's tree is built on first access.
@@ -129,7 +129,6 @@ impl TreeBuffers {
 /// resolved against the parser that produced it.
 pub struct SyntaxTree<'a> {
     pub(crate) parser: &'a Parser,
-    pub(crate) mode: EngineMode,
     pub(crate) input: &'a str,
     pub(crate) toks: &'a [Token],
     pub(crate) nodes: &'a [NodeData],
@@ -189,10 +188,10 @@ impl<'a> SyntaxTree<'a> {
             })
             .collect();
         CstNode::Rule {
-            name: self.parser.prod_name(self.mode, node.prod).to_string(),
+            name: self.parser.prod_name(node.prod).to_string(),
             label: self
                 .parser
-                .alt_label(self.mode, node.prod, node.alt)
+                .alt_label(node.prod, node.alt)
                 .map(str::to_string),
             children,
         }
@@ -210,8 +209,8 @@ impl<'a> SyntaxTree<'a> {
         use std::fmt::Write as _;
         let indent = "  ".repeat(depth);
         let node = &self.nodes[id as usize];
-        let name = self.parser.prod_name(self.mode, node.prod);
-        let _ = match self.parser.alt_label(self.mode, node.prod, node.alt) {
+        let name = self.parser.prod_name(node.prod);
+        let _ = match self.parser.alt_label(node.prod, node.alt) {
             Some(l) => writeln!(out, "{indent}{name} #{l}"),
             None => writeln!(out, "{indent}{name}"),
         };
@@ -390,13 +389,13 @@ impl<'a, 't> SyntaxNode<'a, 't> {
     /// Production name.
     pub fn name(&self) -> &'a str {
         let node = &self.tree.nodes[self.id as usize];
-        self.tree.parser.prod_name(self.tree.mode, node.prod)
+        self.tree.parser.prod_name(node.prod)
     }
 
     /// Label of the alternative that matched, if any.
     pub fn label(&self) -> Option<&'a str> {
         let node = &self.tree.nodes[self.id as usize];
-        self.tree.parser.alt_label(self.tree.mode, node.prod, node.alt)
+        self.tree.parser.alt_label(node.prod, node.alt)
     }
 
     /// Child elements in input order.

@@ -1,10 +1,11 @@
-//! Experiment B4 (correctness side) — the two parse engines.
+//! Experiment B4 (correctness side) — the two engine modes.
 //!
 //! The paper closes asking "what kind of parsing mechanism is most suitable
-//! for feature-oriented extension of SQL". We ship two: a backtracking
-//! interpreter (handles every composed grammar) and an LL(1) table engine
-//! (fastest, but commits to the table's choice on conflicts). These tests
-//! pin down where they agree and where the table engine gives up.
+//! for feature-oriented extension of SQL". One engine answers in two
+//! modes: backtracking (speculates at choices the LL(k) dispatch tables
+//! cannot decide; handles every composed grammar) and predictive (commits
+//! to the table / FIRST-set choice, never speculates). These tests pin
+//! down where they agree and where the predictive mode gives up.
 
 use sqlweave_bench::{corpus, parser};
 use sqlweave::dialects::Dialect;
@@ -25,19 +26,19 @@ fn engines_agree_when_the_table_engine_succeeds() {
                 assert_eq!(b, l, "engines disagree on {stmt:?} ({})", d.name());
             }
         }
-        println!("{:<10} LL(1) engine parsed {ll_ok}/{total} corpus statements", d.name());
-        assert!(ll_ok > 0, "{}: LL(1) engine parsed nothing", d.name());
+        println!("{:<10} predictive mode parsed {ll_ok}/{total} corpus statements", d.name());
+        assert!(ll_ok > 0, "{}: predictive mode parsed nothing", d.name());
     }
 }
 
 #[test]
 fn pico_is_fully_ll1_parsable() {
     // The tailored pico dialect avoids every conflict-heavy feature, so the
-    // table engine covers it completely.
+    // predictive mode covers it completely.
     let ll = parser(Dialect::Pico, EngineMode::Ll1Table);
     let bt = parser(Dialect::Pico, EngineMode::Backtracking);
     for stmt in corpus(Dialect::Pico) {
-        let l = ll.parse(stmt).unwrap_or_else(|e| panic!("LL(1) on {stmt:?}: {e}"));
+        let l = ll.parse(stmt).unwrap_or_else(|e| panic!("predictive on {stmt:?}: {e}"));
         assert_eq!(l, bt.parse(stmt).unwrap());
     }
 }
@@ -73,42 +74,54 @@ fn both_engines_reject_out_of_dialect_statements() {
 
 #[test]
 fn engines_agree_on_generated_workloads_for_ll1_dialects() {
-    // pico and tiny are LL(1)-parsable except for ONE conflict every
-    // dialect shares: in `sql_script : stmt (SEMI stmt)* SEMI?`, a trailing
-    // semicolon is predicted as a separator, so the table engine rejects
-    // scripts that end in `;`. Strip that case and both engines must accept
-    // every grammar-generated sentence with identical CSTs.
-    for d in [Dialect::Pico, Dialect::Tiny] {
+    // The predictive mode is the backtracking engine minus speculation, so
+    // every grammar-generated sentence the backtracking session parses
+    // without rolling a probe back must parse predictively to the
+    // identical CST. Only the residual ambiguities of the larger dialects
+    // (`sqlweave analyze`) make the backtracking mode roll back; pico,
+    // tiny and scql have none, so there the two modes agree everywhere.
+    for d in Dialect::ALL {
         let bt = parser(d, EngineMode::Backtracking);
         let ll = parser(d, EngineMode::Ll1Table);
+        let mut session = bt.session();
+        let (mut clean, mut total) = (0usize, 0usize);
         for s in sqlweave_bench::generated(d, 0x5eed, 200, 9) {
-            let s = s.trim_end().trim_end_matches(';').trim_end();
-            if s.is_empty() {
-                continue;
-            }
-            let b = bt
-                .parse(s)
+            let before = session.counters().backtracks;
+            let b = session
+                .parse_tree(&s)
+                .map(|t| t.to_cst())
                 .unwrap_or_else(|e| panic!("{} backtracking rejected {s:?}: {e}", d.name()));
-            let l = ll
-                .parse(s)
-                .unwrap_or_else(|e| panic!("{} LL(1) rejected {s:?}: {e}", d.name()));
-            assert_eq!(b, l, "{}: engines disagree on {s:?}", d.name());
+            let rolled_back = session.counters().backtracks != before;
+            match ll.parse(&s) {
+                Ok(l) => assert_eq!(b, l, "{}: engines disagree on {s:?}", d.name()),
+                Err(e) => assert!(
+                    rolled_back,
+                    "{}: predictive mode rejected {s:?}, which parsed without a rollback: {e}",
+                    d.name()
+                ),
+            }
+            total += 1;
+            clean += usize::from(!rolled_back);
+        }
+        println!("{:<10} {clean}/{total} generated sentences without a rollback", d.name());
+        if matches!(d, Dialect::Pico | Dialect::Tiny | Dialect::Scql) {
+            assert_eq!(clean, total, "{}: rollback without a residual ambiguity", d.name());
         }
     }
 }
 
 #[test]
 fn ll1_never_accepts_what_backtracking_rejects() {
-    // The table engine resolves conflicts to the first alternative; it may
-    // reject more, but must never accept a statement the general engine
-    // rejects (soundness of the table construction).
+    // The predictive mode commits where the backtracking mode would try
+    // further alternatives; it may reject more, but must never accept a
+    // statement the speculating mode rejects.
     let bt = parser(Dialect::Full, EngineMode::Backtracking);
     let ll = parser(Dialect::Full, EngineMode::Ll1Table);
     for s in sqlweave_bench::generated(Dialect::Full, 77, 300, 8) {
         if ll.parse(&s).is_ok() {
             assert!(
                 bt.parse(&s).is_ok(),
-                "LL(1) accepted but backtracking rejected {s:?}"
+                "predictive mode accepted but backtracking rejected {s:?}"
             );
         }
     }

@@ -133,3 +133,26 @@ fn pathological_backtracking_terminates_quickly() {
     assert!(p.parse(&bad).is_err());
     assert!(t0.elapsed().as_secs() < 5, "took {:?}", t0.elapsed());
 }
+
+#[test]
+fn predictive_resilient_parse_of_a_long_script_fits_a_default_stack() {
+    // A statement list is a loop in the engine, not one recursion per
+    // statement: tens of thousands of statements must parse on an
+    // ordinary 8 MiB thread stack in the predictive mode.
+    std::thread::Builder::new()
+        .stack_size(8 << 20)
+        .spawn(|| {
+            let d = Dialect::Pico;
+            let script = sqlweave_bench::corpus::generate_script(d, 0x5eed, 2 << 20);
+            let p = parser(d, EngineMode::Ll1Table);
+            let mut session = p.session();
+            let outcome = session.parse_resilient(&script);
+            assert!(outcome.errors.is_empty(), "{:?}", &outcome.errors[..1]);
+            let statements =
+                outcome.tree.root().children().filter(|e| e.as_node().is_some()).count();
+            assert!(statements >= 40_000, "only {statements} statements");
+        })
+        .expect("spawn 8 MiB thread")
+        .join()
+        .expect("predictive parse of a long script");
+}
