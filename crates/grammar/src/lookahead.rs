@@ -39,7 +39,8 @@
 use crate::analysis::{GrammarAnalysis, EOF};
 use crate::ir::Term;
 use crate::lower::is_synthetic;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::cmp::Ordering;
+use std::collections::{BTreeSet, HashMap, VecDeque};
 
 /// Deepest lookahead the packed word representation supports.
 pub const K_MAX: usize = 3;
@@ -93,35 +94,46 @@ fn w_prefix(v: Word, w: Word) -> bool {
     w_len(v) <= w_len(w) && (0..w_len(v)).all(|i| w_tok(v, i) == w_tok(w, i))
 }
 
-/// A capped set of packed words plus a completeness flag.
+/// A capped set of packed words, sorted ascending without duplicates,
+/// plus a completeness flag.
 #[derive(Clone, Debug, PartialEq, Eq)]
 struct SeqSet {
-    words: BTreeSet<Word>,
+    words: Vec<Word>,
     complete: bool,
 }
 
 impl SeqSet {
     fn new() -> Self {
         SeqSet {
-            words: BTreeSet::new(),
+            words: Vec::new(),
             complete: true,
         }
     }
 
-    fn insert(&mut self, w: Word) {
-        if self.words.contains(&w) {
-            return;
-        }
-        if self.words.len() >= CAP {
-            self.complete = false;
-            let &max = self.words.iter().next_back().unwrap();
-            if w < max {
-                self.words.remove(&max);
-                self.words.insert(w);
+    /// Normalize a word list into a set: sort, deduplicate, and keep the
+    /// smallest [`CAP`] words, marking the set incomplete if any were
+    /// dropped. The result depends only on the distinct words given, so
+    /// any order of insertion yields the same set.
+    fn from_words(mut words: Vec<Word>, complete: bool) -> Self {
+        words.sort_unstable();
+        words.dedup();
+        let complete = complete && words.len() <= CAP;
+        words.truncate(CAP);
+        words.shrink_to_fit();
+        SeqSet { words, complete }
+    }
+
+    /// The smallest word in both sets — the shortest shared witness.
+    fn first_common(&self, other: &SeqSet) -> Option<Word> {
+        let (mut i, mut j) = (0, 0);
+        while i < self.words.len() && j < other.words.len() {
+            match self.words[i].cmp(&other.words[j]) {
+                Ordering::Less => i += 1,
+                Ordering::Greater => j += 1,
+                Ordering::Equal => return Some(self.words[i]),
             }
-        } else {
-            self.words.insert(w);
         }
+        None
     }
 }
 
@@ -248,66 +260,178 @@ impl LookaheadAnalysis {
     }
 }
 
+/// A flat-grammar symbol resolved to dense ids.
+#[derive(Clone, Copy)]
+enum Sym {
+    Tok(u16),
+    /// Production index into `a.flat.productions()`.
+    Nt(usize),
+}
+
 struct La<'a> {
     a: &'a GrammarAnalysis,
     k: usize,
     tok_ids: HashMap<&'a str, u16>,
     tok_names: Vec<&'a str>,
-    /// `first[j]` / `follow[j]` are valid for j in 1..=k; index 0 unused.
-    /// Level 1 is populated for every nonterminal (derived from the k=1
-    /// analysis); deeper levels only for demanded symbols.
-    first: Vec<BTreeMap<&'a str, SeqSet>>,
-    follow: Vec<BTreeMap<&'a str, SeqSet>>,
-    /// Nonterminal occurrences: name → (production idx, alt idx, position).
-    occ: HashMap<&'a str, Vec<(usize, usize, usize)>>,
+    prod_ids: HashMap<&'a str, usize>,
+    /// Flat productions by index, each alternative as a symbol sequence.
+    prods: Vec<Vec<Vec<Sym>>>,
+    nullable: Vec<bool>,
+    /// Nonterminal occurrences: production → (production, alt, position).
+    occ: Vec<Vec<(usize, usize, usize)>>,
+    /// `first[j][p]` / `follow[j][p]` are valid for j in 1..=k; index 0
+    /// unused. Level 1 is populated for every production (derived from the
+    /// k=1 analysis); deeper levels only for demanded ones.
+    first: Vec<Vec<Option<SeqSet>>>,
+    follow: Vec<Vec<Option<SeqSet>>>,
+}
+
+/// Demanded `(production, level)` pairs for levels ≥ 2, with the
+/// worklist of pairs whose own demands are not yet registered.
+struct Demand {
+    seen: Vec<Vec<bool>>,
+    work: Vec<(usize, usize)>,
+}
+
+impl Demand {
+    fn new(k: usize, prods: usize) -> Self {
+        Demand {
+            seen: vec![vec![false; prods]; k + 1],
+            work: Vec::new(),
+        }
+    }
+
+    fn add(&mut self, p: usize, j: usize) {
+        if !self.seen[j][p] {
+            self.seen[j][p] = true;
+            self.work.push((p, j));
+        }
+    }
+
+    /// The demanded productions of every level, in index order.
+    fn levels(&self) -> Vec<Vec<usize>> {
+        self.seen
+            .iter()
+            .map(|level| (0..level.len()).filter(|&p| level[p]).collect())
+            .collect()
+    }
+}
+
+/// Strongly connected components of the digraph `succ` reachable from
+/// `roots`, by Tarjan's algorithm (iterative). Components come out in
+/// reverse topological order: each after every component it reaches.
+fn sccs(roots: &[usize], succ: &[Vec<usize>]) -> Vec<Vec<usize>> {
+    const UNSEEN: usize = usize::MAX;
+    let mut index = vec![UNSEEN; succ.len()];
+    let mut low = vec![0; succ.len()];
+    let mut on_stack = vec![false; succ.len()];
+    let mut stack = Vec::new();
+    let mut calls: Vec<(usize, usize)> = Vec::new();
+    let mut out = Vec::new();
+    let mut next = 0;
+    for &root in roots {
+        if index[root] != UNSEEN {
+            continue;
+        }
+        calls.push((root, 0));
+        while let Some(&(v, edge)) = calls.last() {
+            if edge == 0 && index[v] == UNSEEN {
+                index[v] = next;
+                low[v] = next;
+                next += 1;
+                stack.push(v);
+                on_stack[v] = true;
+            }
+            if let Some(&w) = succ[v].get(edge) {
+                calls.last_mut().expect("non-empty").1 += 1;
+                if index[w] == UNSEEN {
+                    calls.push((w, 0));
+                } else if on_stack[w] {
+                    low[v] = low[v].min(index[w]);
+                }
+                continue;
+            }
+            calls.pop();
+            if let Some(&(u, _)) = calls.last() {
+                low[u] = low[u].min(low[v]);
+            }
+            if low[v] == index[v] {
+                let mut comp = Vec::new();
+                while let Some(w) = stack.pop() {
+                    on_stack[w] = false;
+                    comp.push(w);
+                    if w == v {
+                        break;
+                    }
+                }
+                out.push(comp);
+            }
+        }
+    }
+    out
 }
 
 impl<'a> La<'a> {
     fn new(a: &'a GrammarAnalysis, k: usize) -> Self {
+        let flat = a.flat.productions();
+        let prod_ids: HashMap<&'a str, usize> = flat
+            .iter()
+            .enumerate()
+            .map(|(i, p)| (p.name.as_str(), i))
+            .collect();
         let mut tok_ids: HashMap<&'a str, u16> = HashMap::new();
         let mut tok_names: Vec<&'a str> = Vec::new();
-        let mut occ: HashMap<&'a str, Vec<(usize, usize, usize)>> = HashMap::new();
-        for (pi, p) in a.flat.productions().iter().enumerate() {
+        let mut occ = vec![Vec::new(); flat.len()];
+        let mut prods = Vec::with_capacity(flat.len());
+        for (pi, p) in flat.iter().enumerate() {
+            let mut alts = Vec::with_capacity(p.alternatives.len());
             for (ai, alt) in p.alternatives.iter().enumerate() {
+                let mut seq = Vec::with_capacity(alt.seq.len());
                 for (pos, term) in alt.seq.iter().enumerate() {
-                    match term {
+                    seq.push(match term {
                         Term::Token(t) => {
-                            if !tok_ids.contains_key(t.as_str()) {
-                                let id = tok_names.len() as u16;
-                                tok_ids.insert(t.as_str(), id);
+                            Sym::Tok(*tok_ids.entry(t.as_str()).or_insert_with(|| {
                                 tok_names.push(t.as_str());
-                            }
+                                (tok_names.len() - 1) as u16
+                            }))
                         }
                         Term::NonTerminal(n) => {
-                            occ.entry(n.as_str()).or_default().push((pi, ai, pos));
+                            let m = prod_ids[n.as_str()];
+                            occ[m].push((pi, ai, pos));
+                            Sym::Nt(m)
                         }
                         _ => unreachable!("lookahead runs on flattened grammars"),
-                    }
+                    });
                 }
+                alts.push(seq);
             }
+            prods.push(alts);
         }
 
-        let mut first: Vec<BTreeMap<&'a str, SeqSet>> = vec![BTreeMap::new(); k + 1];
-        let mut follow: Vec<BTreeMap<&'a str, SeqSet>> = vec![BTreeMap::new(); k + 1];
-        for p in a.flat.productions() {
+        let nullable: Vec<bool> = flat.iter().map(|p| a.nullable.contains(&p.name)).collect();
+        let mut first = vec![vec![None; flat.len()]; k + 1];
+        let mut follow = vec![vec![None; flat.len()]; k + 1];
+        for (pi, p) in flat.iter().enumerate() {
             let name = p.name.as_str();
-            let mut f = SeqSet::new();
-            if a.nullable.contains(name) {
-                f.insert(EPSILON);
+            let mut words: Vec<Word> = a.first[name]
+                .iter()
+                .map(|t| w_push(EPSILON, tok_ids[t.as_str()]))
+                .collect();
+            if nullable[pi] {
+                words.push(EPSILON);
             }
-            for t in &a.first[name] {
-                f.insert(w_push(EPSILON, tok_ids[t.as_str()]));
-            }
-            first[1].insert(name, f);
-            let mut fo = SeqSet::new();
-            for t in &a.follow[name] {
-                if t == EOF {
-                    fo.insert(EPSILON);
-                } else {
-                    fo.insert(w_push(EPSILON, tok_ids[t.as_str()]));
-                }
-            }
-            follow[1].insert(name, fo);
+            first[1][pi] = Some(SeqSet::from_words(words, true));
+            let words = a.follow[name]
+                .iter()
+                .map(|t| {
+                    if t == EOF {
+                        EPSILON
+                    } else {
+                        w_push(EPSILON, tok_ids[t.as_str()])
+                    }
+                })
+                .collect();
+            follow[1][pi] = Some(SeqSet::from_words(words, true));
         }
 
         La {
@@ -315,251 +439,273 @@ impl<'a> La<'a> {
             k,
             tok_ids,
             tok_names,
+            prod_ids,
+            prods,
+            nullable,
+            occ,
             first,
             follow,
-            occ,
         }
     }
 
-    fn min_len(&self, n: &str) -> usize {
-        usize::from(!self.a.nullable.contains(n))
+    fn min_len(&self, p: usize) -> usize {
+        usize::from(!self.nullable[p])
     }
 
     /// FIRST_j ⊕-fold of a flat sequence, starting from {ε}.
-    fn fold_seq(&self, j: usize, seq: &[Term]) -> SeqSet {
-        let mut acc = SeqSet::new();
-        acc.insert(EPSILON);
-        for term in seq {
-            // Minimum element is the shortest word; if even it is full,
+    fn fold_seq(&self, j: usize, seq: &[Sym]) -> SeqSet {
+        let mut acc = SeqSet {
+            words: vec![EPSILON],
+            complete: true,
+        };
+        for &sym in seq {
+            // Words sort shortest first; if even the smallest is full,
             // nothing can be extended any further.
-            if acc.words.iter().next().is_none_or(|&w| w_len(w) == j) {
+            if acc.words.first().is_none_or(|&w| w_len(w) == j) {
                 break;
             }
-            let mut next = SeqSet::new();
-            next.complete = acc.complete;
-            match term {
-                Term::Token(t) => {
-                    let id = self.tok_ids[t.as_str()];
-                    for &u in &acc.words {
-                        if w_len(u) == j {
-                            next.insert(u);
-                        } else {
-                            next.insert(w_push(u, id));
-                        }
-                    }
+            let mut complete = acc.complete;
+            let mut next = Vec::with_capacity(acc.words.len());
+            match sym {
+                Sym::Tok(t) => {
+                    next.extend(
+                        acc.words
+                            .iter()
+                            .map(|&u| if w_len(u) == j { u } else { w_push(u, t) }),
+                    )
                 }
-                Term::NonTerminal(n) => {
+                Sym::Nt(n) => {
                     for &u in &acc.words {
                         let l = w_len(u);
                         if l == j {
-                            next.insert(u);
+                            next.push(u);
                             continue;
                         }
-                        match self.first[j - l].get(n.as_str()) {
+                        match &self.first[j - l][n] {
                             Some(src) => {
-                                next.complete &= src.complete;
-                                for &v in &src.words {
-                                    next.insert(w_concat(j, u, v));
-                                }
+                                complete &= src.complete;
+                                next.extend(src.words.iter().map(|&v| w_concat(j, u, v)));
                             }
                             // Not demanded — should not happen; treat as
                             // unknown (sound: empty + incomplete).
-                            None => next.complete = false,
+                            None => complete = false,
                         }
                     }
                 }
-                _ => unreachable!("lookahead runs on flattened grammars"),
             }
-            acc = next;
+            acc = SeqSet::from_words(next, complete);
         }
         acc
     }
 
+    /// FIRST_j of production `p`: the union of its alternatives' folds.
+    fn first_of(&self, j: usize, p: usize) -> SeqSet {
+        let mut words = Vec::new();
+        let mut complete = true;
+        for alt in &self.prods[p] {
+            let s = self.fold_seq(j, alt);
+            complete &= s.complete;
+            words.extend(s.words);
+        }
+        SeqSet::from_words(words, complete)
+    }
+
     /// Register FIRST demands for every symbol contributing to the first
     /// `budget` tokens of `seq`.
-    #[allow(clippy::too_many_arguments)]
-    fn walk_demand(
-        &self,
-        seq: &[Term],
-        budget: usize,
-        fseen: &mut BTreeSet<(&'a str, usize)>,
-        fwork: &mut Vec<(&'a str, usize)>,
-    ) {
+    fn walk_demand(&self, seq: &[Sym], budget: usize, first: &mut Demand) {
         let mut budget = budget;
-        for term in seq {
+        for &sym in seq {
             if budget == 0 {
                 break;
             }
-            match term {
-                Term::Token(_) => budget -= 1,
-                Term::NonTerminal(n) => {
-                    let n: &'a str = self
-                        .a
-                        .flat
-                        .production(n)
-                        .map(|p| p.name.as_str())
-                        .unwrap_or_default();
+            match sym {
+                Sym::Tok(_) => budget -= 1,
+                Sym::Nt(n) => {
                     for jj in 2..=budget {
-                        if fseen.insert((n, jj)) {
-                            fwork.push((n, jj));
-                        }
+                        first.add(n, jj);
                     }
-                    budget = budget.saturating_sub(self.min_len(n));
+                    budget -= self.min_len(n);
                 }
-                _ => unreachable!(),
             }
         }
     }
 
-    /// Demand closure + fixpoint computation of the deep FIRST/FOLLOW
-    /// tables needed to classify `conflicted` at depth `self.k`.
-    fn compute(&mut self, conflicted: &[&'a str]) {
+    /// Demand closure of the deep FIRST/FOLLOW tables needed to classify
+    /// `conflicted` at depth `self.k`. Seeds every demanded entry as
+    /// empty-but-complete and returns the demanded productions per level,
+    /// FIRST then FOLLOW.
+    fn demand(&mut self, conflicted: &[usize]) -> (Vec<Vec<usize>>, Vec<Vec<usize>>) {
         let k = self.k;
-        let mut fseen: BTreeSet<(&'a str, usize)> = BTreeSet::new();
-        let mut fwork: Vec<(&'a str, usize)> = Vec::new();
-        let mut wseen: BTreeSet<(&'a str, usize)> = BTreeSet::new();
-        let mut wwork: Vec<(&'a str, usize)> = Vec::new();
-
-        for &name in conflicted {
-            if let Some(p) = self.a.flat.production(name) {
-                for alt in &p.alternatives {
-                    self.walk_demand(&alt.seq, k, &mut fseen, &mut fwork);
-                }
+        let mut first = Demand::new(k, self.prods.len());
+        let mut follow = Demand::new(k, self.prods.len());
+        for &p in conflicted {
+            for alt in &self.prods[p] {
+                self.walk_demand(alt, k, &mut first);
             }
             for jj in 2..=k {
-                if wseen.insert((name, jj)) {
-                    wwork.push((name, jj));
-                }
+                follow.add(p, jj);
             }
         }
-
         loop {
-            if let Some((n, j)) = fwork.pop() {
-                if let Some(p) = self.a.flat.production(n) {
-                    for alt in &p.alternatives {
-                        self.walk_demand(&alt.seq, j, &mut fseen, &mut fwork);
-                    }
+            if let Some((p, j)) = first.work.pop() {
+                for alt in &self.prods[p] {
+                    self.walk_demand(alt, j, &mut first);
                 }
                 continue;
             }
-            if let Some((n, j)) = wwork.pop() {
-                if let Some(occs) = self.occ.get(n) {
-                    let occs = occs.clone();
-                    for (pi, ai, pos) in occs {
-                        let p = &self.a.flat.productions()[pi];
-                        let rest = &p.alternatives[ai].seq[pos + 1..];
-                        self.walk_demand(rest, j, &mut fseen, &mut fwork);
-                        let restmin: usize = rest
-                            .iter()
-                            .map(|t| match t {
-                                Term::Token(_) => 1,
-                                Term::NonTerminal(m) => self.min_len(m),
-                                _ => unreachable!(),
-                            })
-                            .sum();
-                        let up = j.saturating_sub(restmin);
-                        for jj in 2..=up {
-                            if wseen.insert((p.name.as_str(), jj)) {
-                                wwork.push((p.name.as_str(), jj));
-                            }
-                        }
+            if let Some((n, j)) = follow.work.pop() {
+                for &(p, ai, pos) in &self.occ[n] {
+                    let rest = &self.prods[p][ai][pos + 1..];
+                    self.walk_demand(rest, j, &mut first);
+                    let restmin: usize = rest
+                        .iter()
+                        .map(|&s| match s {
+                            Sym::Tok(_) => 1,
+                            Sym::Nt(m) => self.min_len(m),
+                        })
+                        .sum();
+                    for jj in 2..=j.saturating_sub(restmin) {
+                        follow.add(p, jj);
                     }
                 }
                 continue;
             }
             break;
         }
-
-        // Pre-seed every demanded entry as empty-but-complete so that
-        // self-referential lookups during the first fixpoint iteration do
-        // not permanently poison completeness flags (the `None` branches
-        // below then only fire for genuinely un-demanded symbols). The
-        // optimistic seed is sound: flags are recomputed from scratch every
-        // iteration and only flip false when a cap is actually hit.
-        for &(n, j) in &fseen {
-            self.first[j].entry(n).or_insert_with(SeqSet::new);
-        }
-        for &(n, j) in &wseen {
-            self.follow[j].entry(n).or_insert_with(SeqSet::new);
-        }
-
-        // FIRST fixpoints, level by level (level j uses levels < j, fixed).
+        let (first, follow) = (first.levels(), follow.levels());
         for j in 2..=k {
-            let names: Vec<&'a str> = fseen
-                .iter()
-                .filter(|(_, jj)| *jj == j)
-                .map(|(n, _)| *n)
-                .collect();
-            loop {
-                let mut changed = false;
-                for &name in &names {
-                    let Some(p) = self.a.flat.production(name) else { continue };
-                    let mut acc = SeqSet::new();
-                    for alt in &p.alternatives {
-                        let s = self.fold_seq(j, &alt.seq);
-                        acc.complete &= s.complete;
-                        for &w in &s.words {
-                            acc.insert(w);
-                        }
+            for &p in &first[j] {
+                self.first[j][p] = Some(SeqSet::new());
+            }
+            for &p in &follow[j] {
+                self.follow[j][p] = Some(SeqSet::new());
+            }
+        }
+        (first, follow)
+    }
+
+    /// Compute the deep FIRST/FOLLOW tables needed to classify
+    /// `conflicted`, level by level (level j only reads levels < j and
+    /// itself).
+    fn compute(&mut self, conflicted: &[usize]) {
+        let (first, follow) = self.demand(conflicted);
+        for (j, names) in first.iter().enumerate().skip(2) {
+            self.solve_first(j, names);
+        }
+        for (j, names) in follow.iter().enumerate().skip(2) {
+            self.solve_follow(j, names);
+        }
+    }
+
+    /// FIRST_j of the demanded productions `names`, by dependency
+    /// worklist. The only same-level reads are FIRST_j(M) for an M
+    /// reached through a nullable prefix, so a production is recomputed
+    /// only when such a set changed. The worklist starts in Tarjan order
+    /// (dependencies first), so acyclic parts are computed once.
+    fn solve_first(&mut self, j: usize, names: &[usize]) {
+        let mut reads = vec![Vec::new(); self.prods.len()];
+        let mut readers = vec![Vec::new(); self.prods.len()];
+        for &p in names {
+            for alt in &self.prods[p] {
+                for &sym in alt {
+                    let Sym::Nt(m) = sym else { break };
+                    reads[p].push(m);
+                    readers[m].push(p);
+                    if !self.nullable[m] {
+                        break;
                     }
-                    if self.first[j].get(name) != Some(&acc) {
-                        self.first[j].insert(name, acc);
-                        changed = true;
-                    }
-                }
-                if !changed {
-                    break;
                 }
             }
         }
-
-        // FOLLOW fixpoints, level by level.
-        let start = self.a.flat.start().to_string();
-        for j in 2..=k {
-            let names: Vec<&'a str> = wseen
-                .iter()
-                .filter(|(_, jj)| *jj == j)
-                .map(|(n, _)| *n)
-                .collect();
-            loop {
-                let mut changed = false;
-                for &name in &names {
-                    let mut acc = SeqSet::new();
-                    if name == start {
-                        acc.insert(EPSILON);
+        let mut queue: VecDeque<usize> = sccs(names, &reads).into_iter().flatten().collect();
+        let mut queued = vec![false; self.prods.len()];
+        for &p in &queue {
+            queued[p] = true;
+        }
+        while let Some(p) = queue.pop_front() {
+            queued[p] = false;
+            let set = self.first_of(j, p);
+            if self.first[j][p].as_ref() != Some(&set) {
+                self.first[j][p] = Some(set);
+                for &r in &readers[p] {
+                    if !queued[r] {
+                        queued[r] = true;
+                        queue.push_back(r);
                     }
-                    if let Some(occs) = self.occ.get(name) {
-                        for &(pi, ai, pos) in occs {
-                            let p = &self.a.flat.productions()[pi];
-                            let rest = &p.alternatives[ai].seq[pos + 1..];
-                            let folded = self.fold_seq(j, rest);
-                            acc.complete &= folded.complete;
-                            for &w in &folded.words {
-                                let l = w_len(w);
-                                if l == j {
-                                    acc.insert(w);
-                                } else {
-                                    match self.follow[j - l].get(p.name.as_str()) {
-                                        Some(fs) => {
-                                            acc.complete &= fs.complete;
-                                            for &v in &fs.words {
-                                                acc.insert(w_concat(j, w, v));
-                                            }
-                                        }
-                                        None => acc.complete = false,
-                                    }
-                                }
+                }
+            }
+        }
+    }
+
+    /// FOLLOW_j of the demanded productions `names`. Every occurrence
+    /// `P → α N β` contributes FIRST_j(β) ⊕ FOLLOW_{j-l}(P) for the words
+    /// of length l < j, and only l = 0 (β derives ε) reads level j itself,
+    /// as the inclusion FOLLOW_j(N) ⊇ FOLLOW_j(P). So FOLLOW_j is an
+    /// inclusion digraph over constant parts — the shape DeRemer and
+    /// Pennello solve for LALR lookaheads: each production's constant part
+    /// is computed once, then unioned along the edges once per strongly
+    /// connected component, successors first.
+    fn solve_follow(&mut self, j: usize, names: &[usize]) {
+        let n = self.prods.len();
+        let start = self.prod_ids[self.a.flat.start()];
+        let mut base: Vec<(Vec<Word>, bool)> = vec![(Vec::new(), true); n];
+        let mut up: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for &name in names {
+            let (words, complete) = &mut base[name];
+            if name == start {
+                words.push(EPSILON);
+            }
+            for &(p, ai, pos) in &self.occ[name] {
+                let folded = self.fold_seq(j, &self.prods[p][ai][pos + 1..]);
+                *complete &= folded.complete;
+                for &w in &folded.words {
+                    let l = w_len(w);
+                    if l == j {
+                        words.push(w);
+                    } else if l == 0 {
+                        match self.follow[j][p] {
+                            Some(_) => up[name].push(p),
+                            None => *complete = false,
+                        }
+                    } else {
+                        match &self.follow[j - l][p] {
+                            Some(fs) => {
+                                *complete &= fs.complete;
+                                words.extend(fs.words.iter().map(|&v| w_concat(j, w, v)));
                             }
+                            None => *complete = false,
                         }
                     }
-                    if self.follow[j].get(name) != Some(&acc) {
-                        self.follow[j].insert(name, acc);
-                        changed = true;
+                }
+            }
+        }
+        let mut comp = vec![usize::MAX; n];
+        for (c, members) in sccs(names, &up).into_iter().enumerate() {
+            for &m in &members {
+                comp[m] = c;
+            }
+            let mut words = Vec::new();
+            let mut complete = true;
+            let mut merged: Vec<usize> = Vec::new();
+            for &m in &members {
+                let (own, own_complete) = std::mem::take(&mut base[m]);
+                words.extend(own);
+                complete &= own_complete;
+                for &p in &up[m] {
+                    if comp[p] == c || merged.contains(&comp[p]) {
+                        continue;
                     }
+                    merged.push(comp[p]);
+                    let s = self.follow[j][p]
+                        .as_ref()
+                        .expect("successors are solved first");
+                    complete &= s.complete;
+                    words.extend_from_slice(&s.words);
                 }
-                if !changed {
-                    break;
-                }
+            }
+            let set = SeqSet::from_words(words, complete);
+            for &m in &members {
+                self.follow[j][m] = Some(set.clone());
             }
         }
     }
@@ -570,51 +716,50 @@ impl<'a> La<'a> {
             .collect()
     }
 
-    fn classify(&self, name: &'a str, conflict: &BTreeSet<&str>) -> Decision {
+    fn classify(&self, p: usize, conflict: &BTreeSet<&str>) -> Decision {
+        let name = self.a.flat.productions()[p].name.as_str();
         let conflict_eof = conflict.contains(EOF);
-        let cids: BTreeSet<u16> = conflict
-            .iter()
-            .filter(|t| **t != EOF)
-            .map(|t| self.tok_ids[*t])
-            .collect();
+        let mut conflict_tok = vec![false; self.tok_names.len()];
+        for t in conflict.iter().filter(|t| **t != EOF) {
+            conflict_tok[self.tok_ids[t] as usize] = true;
+        }
         let in_conflict = |w: Word| -> bool {
             if w_len(w) == 0 {
                 conflict_eof
             } else {
-                cids.contains(&w_tok(w, 0))
+                conflict_tok[w_tok(w, 0) as usize]
             }
         };
 
-        let p = self.a.flat.production(name).expect("conflicted production exists");
         // Per alternative: (full FIRST_k fold, conflict-restricted la set).
-        let per_alt: Vec<(SeqSet, SeqSet)> = p
-            .alternatives
+        let per_alt: Vec<(SeqSet, SeqSet)> = self.prods[p]
             .iter()
             .map(|alt| {
-                let f = self.fold_seq(self.k, &alt.seq);
-                let mut lac = SeqSet::new();
-                lac.complete = f.complete;
+                let f = self.fold_seq(self.k, alt);
+                let mut complete = f.complete;
+                let mut words = Vec::new();
                 for &w in &f.words {
                     let l = w_len(w);
                     if l == self.k {
                         if in_conflict(w) {
-                            lac.insert(w);
+                            words.push(w);
                         }
                     } else {
-                        match self.follow[self.k - l].get(name) {
+                        match &self.follow[self.k - l][p] {
                             Some(fs) => {
-                                lac.complete &= fs.complete;
-                                for &v in &fs.words {
-                                    let w2 = w_concat(self.k, w, v);
-                                    if in_conflict(w2) {
-                                        lac.insert(w2);
-                                    }
-                                }
+                                complete &= fs.complete;
+                                words.extend(
+                                    fs.words
+                                        .iter()
+                                        .map(|&v| w_concat(self.k, w, v))
+                                        .filter(|&w2| in_conflict(w2)),
+                                );
                             }
-                            None => lac.complete = false,
+                            None => complete = false,
                         }
                     }
                 }
+                let lac = SeqSet::from_words(words, complete);
                 (f, lac)
             })
             .collect();
@@ -630,20 +775,15 @@ impl<'a> La<'a> {
             let tr: Vec<SeqSet> = per_alt
                 .iter()
                 .map(|(_, lac)| {
-                    let mut s = SeqSet::new();
-                    s.complete = lac.complete;
-                    for &w in &lac.words {
-                        s.insert(w_trunc(k2, w));
-                    }
-                    s
+                    let words = lac.words.iter().map(|&w| w_trunc(k2, w)).collect();
+                    SeqSet::from_words(words, lac.complete)
                 })
                 .collect();
             if tr.iter().any(|s| !s.complete) {
                 continue;
             }
-            let disjoint = (0..tr.len()).all(|i| {
-                (i + 1..tr.len()).all(|j| tr[i].words.intersection(&tr[j].words).next().is_none())
-            });
+            let disjoint = (0..tr.len())
+                .all(|i| (i + 1..tr.len()).all(|j| tr[i].first_common(&tr[j]).is_none()));
             if !disjoint {
                 continue;
             }
@@ -680,7 +820,7 @@ impl<'a> La<'a> {
         let mut best: Option<(Word, (usize, usize))> = None;
         for i in 0..per_alt.len() {
             for j in i + 1..per_alt.len() {
-                if let Some(&w) = per_alt[i].1.words.intersection(&per_alt[j].1.words).next() {
+                if let Some(w) = per_alt[i].1.first_common(&per_alt[j].1) {
                     if best.is_none_or(|(bw, _)| w < bw) {
                         best = Some((w, (i, j)));
                     }
@@ -705,6 +845,16 @@ impl<'a> La<'a> {
 /// fixpoints terminate) but their classifications are not meaningful for
 /// parsing — callers gate on `analysis.left_recursion` being empty.
 pub fn analyze_lookahead(a: &GrammarAnalysis, k: usize) -> LookaheadAnalysis {
+    analyze_with(a, k, La::compute)
+}
+
+/// [`analyze_lookahead`] with the FIRST/FOLLOW solver as a parameter, so
+/// tests can run the reference fixpoint through the same classification.
+fn analyze_with<'a>(
+    a: &'a GrammarAnalysis,
+    k: usize,
+    solve: impl FnOnce(&mut La<'a>, &[usize]),
+) -> LookaheadAnalysis {
     let k = k.clamp(1, K_MAX);
     if a.conflicts.is_empty() {
         return LookaheadAnalysis {
@@ -724,10 +874,12 @@ pub fn analyze_lookahead(a: &GrammarAnalysis, k: usize) -> LookaheadAnalysis {
             .insert(&c.token);
     }
     let mut la = La::new(a, k);
-    la.compute(&order);
+    let order: Vec<(usize, &str)> = order.into_iter().map(|n| (la.prod_ids[n], n)).collect();
+    let conflicted: Vec<usize> = order.iter().map(|&(p, _)| p).collect();
+    solve(&mut la, &conflicted);
     let decisions = order
         .iter()
-        .map(|&name| la.classify(name, &tokens_by[name]))
+        .map(|&(p, name)| la.classify(p, &tokens_by[name]))
         .collect();
     LookaheadAnalysis { k, decisions }
 }
@@ -787,6 +939,8 @@ mod tests {
     use super::*;
     use crate::analysis::analyze;
     use crate::dsl::parse_grammar;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn run(src: &str, k: usize) -> LookaheadAnalysis {
         analyze_lookahead(&analyze(&parse_grammar(src).unwrap()).unwrap(), k)
@@ -796,6 +950,211 @@ mod tests {
         DispatchEntry {
             word: word.iter().map(|s| s.to_string()).collect(),
             alt,
+        }
+    }
+
+    /// Reference solver: the round-robin fixpoint the worklist (FIRST)
+    /// and inclusion-digraph (FOLLOW) solvers replaced. Every demanded set
+    /// is recomputed from scratch, level by level, until a whole pass
+    /// changes nothing.
+    impl La<'_> {
+        fn compute_round_robin(&mut self, conflicted: &[usize]) {
+            let (firsts, follows) = self.demand(conflicted);
+            for (j, names) in firsts.iter().enumerate().skip(2) {
+                loop {
+                    let mut changed = false;
+                    for &p in names {
+                        let set = self.first_of(j, p);
+                        if self.first[j][p].as_ref() != Some(&set) {
+                            self.first[j][p] = Some(set);
+                            changed = true;
+                        }
+                    }
+                    if !changed {
+                        break;
+                    }
+                }
+            }
+            let start = self.prod_ids[self.a.flat.start()];
+            for (j, names) in follows.iter().enumerate().skip(2) {
+                loop {
+                    let mut changed = false;
+                    for &name in names {
+                        let mut words = Vec::new();
+                        let mut complete = true;
+                        if name == start {
+                            words.push(EPSILON);
+                        }
+                        for &(p, ai, pos) in &self.occ[name] {
+                            let folded = self.fold_seq(j, &self.prods[p][ai][pos + 1..]);
+                            complete &= folded.complete;
+                            for &w in &folded.words {
+                                let l = w_len(w);
+                                if l == j {
+                                    words.push(w);
+                                    continue;
+                                }
+                                match &self.follow[j - l][p] {
+                                    Some(fs) => {
+                                        complete &= fs.complete;
+                                        words.extend(fs.words.iter().map(|&v| w_concat(j, w, v)));
+                                    }
+                                    None => complete = false,
+                                }
+                            }
+                        }
+                        let set = SeqSet::from_words(words, complete);
+                        if self.follow[j][name].as_ref() != Some(&set) {
+                            self.follow[j][name] = Some(set);
+                            changed = true;
+                        }
+                    }
+                    if !changed {
+                        break;
+                    }
+                }
+            }
+        }
+    }
+
+    /// A random flat-ish grammar over nonterminals `p0..pN` and tokens
+    /// `A..E`: empty alternatives (nullable chains), nonterminals in tail
+    /// position (FOLLOW inclusion cycles) and mutual recursion are all
+    /// common at these sizes.
+    fn random_grammar(rng: &mut StdRng) -> String {
+        let n = rng.gen_range(2..7usize);
+        let mut src = String::from("grammar g; start p0;");
+        for p in 0..n {
+            src.push_str(&format!(" p{p} :"));
+            for a in 0..rng.gen_range(1..4usize) {
+                if a > 0 {
+                    src.push_str(" |");
+                }
+                for _ in 0..rng.gen_range(0..4usize) {
+                    if rng.gen_bool(0.55) {
+                        src.push_str(&format!(" p{}", rng.gen_range(0..n)));
+                    } else {
+                        src.push_str(&format!(
+                            " {}",
+                            ["A", "B", "C", "D", "E"][rng.gen_range(0..5usize)]
+                        ));
+                    }
+                }
+            }
+            src.push_str(" ;");
+        }
+        src
+    }
+
+    /// Solve the tables for every production with both solvers.
+    fn both_solvers(a: &GrammarAnalysis, k: usize) -> (La<'_>, La<'_>) {
+        let all: Vec<usize> = (0..a.flat.productions().len()).collect();
+        let mut fast = La::new(a, k);
+        fast.compute(&all);
+        let mut oracle = La::new(a, k);
+        oracle.compute_round_robin(&all);
+        (fast, oracle)
+    }
+
+    #[test]
+    fn solvers_agree_with_round_robin_oracle_on_random_grammars() {
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        let (mut cyclic, mut eof_words, mut nullable_chains, mut decisions) = (0, 0, 0, 0);
+        for case in 0..400 {
+            let src = random_grammar(&mut rng);
+            let a = analyze(&parse_grammar(&src).unwrap()).unwrap();
+            for k in 2..=K_MAX {
+                let (fast, oracle) = both_solvers(&a, k);
+                assert_eq!(fast.first, oracle.first, "FIRST, case {case}, k={k}: {src}");
+                assert_eq!(
+                    fast.follow, oracle.follow,
+                    "FOLLOW, case {case}, k={k}: {src}"
+                );
+                let la = analyze_lookahead(&a, k);
+                let reference = analyze_with(&a, k, La::compute_round_robin);
+                assert_eq!(la, reference, "decisions, case {case}, k={k}: {src}");
+                decisions += la.decisions.len();
+                if k == K_MAX {
+                    // Coverage of the shapes the solvers must get right.
+                    let mut up = vec![Vec::new(); fast.prods.len()];
+                    for (name, occs) in fast.occ.iter().enumerate() {
+                        for &(p, ai, pos) in occs {
+                            if fast
+                                .fold_seq(k, &fast.prods[p][ai][pos + 1..])
+                                .words
+                                .first()
+                                == Some(&EPSILON)
+                            {
+                                up[name].push(p);
+                            }
+                        }
+                    }
+                    let all: Vec<usize> = (0..up.len()).collect();
+                    if sccs(&all, &up).iter().any(|c| c.len() > 1) {
+                        cyclic += 1;
+                    }
+                    let follows = fast.follow[k].iter().flatten();
+                    if follows
+                        .flat_map(|s| &s.words)
+                        .any(|&w| (1..k).contains(&w_len(w)))
+                    {
+                        eof_words += 1;
+                    }
+                    if a.nullable.iter().any(|n| {
+                        let p = fast.prod_ids[n.as_str()];
+                        fast.prods[p]
+                            .iter()
+                            .flatten()
+                            .any(|s| matches!(s, Sym::Nt(m) if fast.nullable[*m]))
+                    }) {
+                        nullable_chains += 1;
+                    }
+                }
+            }
+        }
+        assert!(cyclic >= 40, "only {cyclic} grammars with a FOLLOW cycle");
+        assert!(
+            eof_words >= 40,
+            "only {eof_words} grammars with EOF-ending words"
+        );
+        assert!(
+            nullable_chains >= 40,
+            "only {nullable_chains} grammars with nullable chains"
+        );
+        assert!(decisions >= 100, "only {decisions} decisions classified");
+    }
+
+    #[test]
+    fn cap_overflow_stays_incomplete_and_unresolved() {
+        // FOLLOW_3(a) ⊇ FIRST_3(x x x) has 30³ = 27,000 words > CAP.
+        let toks: Vec<String> = (0..30).map(|i| format!("T{i}")).collect();
+        let src = format!(
+            "grammar g; start s; s : a x x x Q | a x x x R ; a : T0 | ; x : {} ;",
+            toks.join(" | ")
+        );
+        let a = analyze(&parse_grammar(&src).unwrap()).unwrap();
+        let (fast, oracle) = both_solvers(&a, 3);
+        let pa = fast.prod_ids["a"];
+        let follow = fast.follow[3][pa].as_ref().unwrap();
+        assert!(!follow.complete);
+        assert_eq!(follow.words.len(), CAP);
+        // The smallest words are the ones kept: T0 T0 T0 first.
+        let t0 = fast.tok_ids["T0"];
+        assert_eq!(follow.words[0], w_push(w_push(w_push(EPSILON, t0), t0), t0));
+        assert_eq!(fast.follow, oracle.follow);
+        let la = analyze_lookahead(&a, 3);
+        assert_eq!(la, analyze_with(&a, 3, La::compute_round_robin));
+        for name in ["a", "s"] {
+            let d = la
+                .decisions
+                .iter()
+                .find(|d| d.production == name)
+                .expect(name);
+            match &d.outcome {
+                Outcome::Residual { witness, .. } => assert_eq!(witness, &["T0", "T0", "T0"]),
+                Outcome::Saturated => {}
+                o => panic!("{name}: an incomplete set must not resolve, got {o:?}"),
+            }
         }
     }
 
@@ -817,14 +1176,18 @@ mod tests {
 
     #[test]
     fn seqset_cap_keeps_smallest_and_flags_incomplete() {
-        let mut s = SeqSet::new();
-        for t in 0..CAP as u64 + 5 {
-            s.insert((1 << 48) | ((t % 60_000) << 32));
-        }
+        let words: Vec<Word> = (0..CAP as u64 + 5)
+            .map(|t| (1 << 48) | ((t % 60_000) << 32))
+            .collect();
+        let s = SeqSet::from_words(words.iter().rev().copied().collect(), true);
         assert!(!s.complete);
         assert_eq!(s.words.len(), CAP);
-        // Smallest word survives.
-        assert!(s.words.contains(&(1 << 48)));
+        // The smallest words survive, sorted.
+        assert_eq!(s.words, words[..CAP]);
+        // Duplicates do not count against the cap.
+        let s = SeqSet::from_words([&words[..CAP], &words[..10]].concat(), true);
+        assert!(s.complete);
+        assert_eq!(s.words.len(), CAP);
     }
 
     #[test]

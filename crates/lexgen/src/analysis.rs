@@ -10,10 +10,9 @@
 //! it exactly (no approximation: two rules overlap iff some reachable DFA
 //! state accepts both).
 
-use crate::dfa::alphabet_intervals;
-use crate::nfa::Nfa;
+use crate::dfa::{alphabet_intervals, subset_construction};
 use crate::tokenset::{TokenRule, TokenSet, TokenSetError};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 /// Result of [`analyze`]: per-rule emittability and pairwise overlaps.
 ///
@@ -57,72 +56,25 @@ impl TokenSetAnalysis {
 /// Analyze `ts`. Fails only if a rule's pattern fails to compile, which
 /// [`TokenSet::add`] already prevents for sets built through the public API.
 pub fn analyze(ts: &TokenSet) -> Result<TokenSetAnalysis, TokenSetError> {
-    let rules = ts.prioritized();
-    let mut nfa = Nfa::new();
-    for (tag, rule) in rules.iter().enumerate() {
-        let re = rule.to_regex().map_err(|error| TokenSetError::BadPattern {
-            name: rule.name.clone(),
-            error,
-        })?;
-        nfa.add_pattern(&re, tag);
-    }
-    nfa.finish();
-
-    // Subset construction recording the full accept set per DFA state.
-    let intervals = alphabet_intervals(&nfa);
-    let mut index: HashMap<Vec<usize>, usize> = HashMap::new();
-    let mut worklist: Vec<Vec<usize>> = Vec::new();
-    let mut accept_sets: Vec<BTreeSet<usize>> = Vec::new();
-
-    let accepts_of = |nfa: &Nfa, set: &[usize]| -> BTreeSet<usize> {
-        set.iter().filter_map(|&s| nfa.states[s].accept).collect()
-    };
-
-    let start = nfa.eps_closure(&[nfa.start()]);
-    accept_sets.push(accepts_of(&nfa, &start));
-    index.insert(start.clone(), 0);
-    worklist.push(start);
-
-    while let Some(set) = worklist.pop() {
-        for &(lo, _hi) in &intervals {
-            // Any character of the interval is representative (intervals
-            // are cut at every class boundary).
-            let mut moved: Vec<usize> = Vec::new();
-            for &s in &set {
-                for (class, t) in &nfa.states[s].trans {
-                    if class.contains(lo) && !moved.contains(t) {
-                        moved.push(*t);
-                    }
-                }
-            }
-            if moved.is_empty() {
-                continue;
-            }
-            let closed = nfa.eps_closure(&moved);
-            if !index.contains_key(&closed) {
-                index.insert(closed.clone(), accept_sets.len());
-                accept_sets.push(accepts_of(&nfa, &closed));
-                worklist.push(closed);
-            }
-        }
-    }
-
+    let (rules, nfa) = ts.prioritized_nfa()?;
+    // Subset construction, seeing the full accept set of every DFA state.
     // A rule is winnable iff it is the highest-priority (smallest) tag of
     // some reachable accepting state: maximal-munch keeps extending the
     // match, but every accepting state it can stop in reports its smallest
     // tag, so a rule that is nowhere the smallest is never emitted.
     let mut winnable = vec![false; rules.len()];
     let mut overlaps: BTreeSet<(usize, usize)> = BTreeSet::new();
-    for set in &accept_sets {
-        if let Some(&winner) = set.iter().next() {
+    subset_construction(&nfa, &alphabet_intervals(&nfa), |set| {
+        let accepts: BTreeSet<usize> = set.iter().filter_map(|&s| nfa.states[s].accept).collect();
+        if let Some(&winner) = accepts.first() {
             winnable[winner] = true;
         }
-        for &a in set {
-            for &b in set.iter().filter(|&&b| b > a) {
+        for &a in &accepts {
+            for &b in accepts.range(a + 1..) {
                 overlaps.insert((a, b));
             }
         }
-    }
+    });
 
     Ok(TokenSetAnalysis {
         rules,

@@ -6,8 +6,9 @@
 //! transitions are per-interval — typically a few dozen intervals for a SQL
 //! token set instead of 1.1M code points.
 
-use crate::nfa::Nfa;
+use crate::nfa::{Nfa, StateId};
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// A deterministic automaton with tagged accepting states.
 #[derive(Debug, Clone)]
@@ -31,50 +32,12 @@ impl Dfa {
     /// Build a DFA from a finished NFA.
     pub fn from_nfa(nfa: &Nfa) -> Dfa {
         let intervals = alphabet_intervals(nfa);
-        let mut states: Vec<DfaState> = Vec::new();
-        let mut index: HashMap<Vec<usize>, u32> = HashMap::new();
-        let mut worklist: Vec<Vec<usize>> = Vec::new();
-
-        let start_set = nfa.eps_closure(&[nfa.start()]);
-        index.insert(start_set.clone(), 0);
-        states.push(DfaState {
-            trans: vec![None; intervals.len()],
-            accept: accept_of(nfa, &start_set),
-        });
-        worklist.push(start_set);
-
-        while let Some(set) = worklist.pop() {
-            let id = index[&set];
-            for (ii, &(lo, _hi)) in intervals.iter().enumerate() {
-                // Any character of the interval is representative.
-                let mut moved: Vec<usize> = Vec::new();
-                for &s in &set {
-                    for (class, t) in &nfa.states[s].trans {
-                        if class.contains(lo) && !moved.contains(t) {
-                            moved.push(*t);
-                        }
-                    }
-                }
-                if moved.is_empty() {
-                    continue;
-                }
-                let closed = nfa.eps_closure(&moved);
-                let target = match index.get(&closed) {
-                    Some(&t) => t,
-                    None => {
-                        let t = states.len() as u32;
-                        index.insert(closed.clone(), t);
-                        states.push(DfaState {
-                            trans: vec![None; intervals.len()],
-                            accept: accept_of(nfa, &closed),
-                        });
-                        worklist.push(closed);
-                        t
-                    }
-                };
-                states[id as usize].trans[ii] = Some(target);
-            }
-        }
+        let states = subset_construction(nfa, &intervals, |set| {
+            set.iter().filter_map(|&s| nfa.states[s].accept).min()
+        })
+        .into_iter()
+        .map(|(trans, accept)| DfaState { trans, accept })
+        .collect();
         Dfa { intervals, states }
     }
 
@@ -226,9 +189,77 @@ impl Dfa {
     }
 }
 
-/// Smallest accepting tag of an NFA state set.
-fn accept_of(nfa: &Nfa, set: &[usize]) -> Option<usize> {
-    set.iter().filter_map(|&s| nfa.states[s].accept).min()
+/// Subset construction over the alphabet `intervals`, shared by
+/// [`Dfa::from_nfa`] and the lint's exact accept-set analysis
+/// ([`crate::analysis`]). Returns one `(transitions, label)` pair per DFA
+/// state in discovery order (state 0 is the start state); `label` records
+/// what the caller keeps of the state's NFA state set.
+///
+/// Each NFA transition's class is resolved once to the runs of intervals
+/// it covers (intervals are cut at every class boundary, so a class range
+/// covers whole intervals). A DFA state's moves are then one pass over its
+/// members' transitions into per-interval buckets, each closed with the
+/// sparse [`Nfa::eps_closure`].
+pub(crate) fn subset_construction<L>(
+    nfa: &Nfa,
+    intervals: &[(char, char)],
+    mut label: impl FnMut(&[StateId]) -> L,
+) -> Vec<(Vec<Option<u32>>, L)> {
+    // Per NFA state: the target and covered interval run of each range.
+    let mut covers: Vec<Vec<(StateId, Range<usize>)>> = vec![Vec::new(); nfa.states.len()];
+    for (s, state) in nfa.states.iter().enumerate() {
+        for (class, t) in &state.trans {
+            for &(lo, hi) in class.ranges() {
+                let run = intervals.partition_point(|iv| iv.0 < lo)
+                    ..intervals.partition_point(|iv| iv.0 <= hi);
+                covers[s].push((*t, run));
+            }
+        }
+    }
+
+    let mut seen = Vec::new();
+    let mut buckets: Vec<Vec<StateId>> = vec![Vec::new(); intervals.len()];
+    let mut index: HashMap<Vec<StateId>, u32> = HashMap::new();
+    let mut states = Vec::new();
+    let mut worklist = Vec::new();
+    let mut last: (Vec<StateId>, u32) = (Vec::new(), 0);
+
+    let start = nfa.eps_closure(&[nfa.start()], &mut seen);
+    index.insert(start.clone(), 0);
+    states.push((vec![None; intervals.len()], label(&start)));
+    worklist.push((start, 0));
+
+    while let Some((set, id)) = worklist.pop() {
+        for (t, run) in set.iter().flat_map(|&s| &covers[s]) {
+            for bucket in &mut buckets[run.clone()] {
+                bucket.push(*t);
+            }
+        }
+        for (ii, bucket) in buckets.iter_mut().enumerate() {
+            if bucket.is_empty() {
+                continue;
+            }
+            // Runs of intervals (the letters of an identifier class, say)
+            // usually move alike: an equal bucket has the same target.
+            if *bucket != last.0 {
+                let closed = nfa.eps_closure(bucket, &mut seen);
+                let target = match index.get(&closed) {
+                    Some(&t) => t,
+                    None => {
+                        let t = states.len() as u32;
+                        index.insert(closed.clone(), t);
+                        states.push((vec![None; intervals.len()], label(&closed)));
+                        worklist.push((closed, t as usize));
+                        t
+                    }
+                };
+                last = (std::mem::take(bucket), target);
+            }
+            bucket.clear();
+            states[id].0[ii] = Some(last.1);
+        }
+    }
+    states
 }
 
 /// Compute the disjoint alphabet intervals induced by all class boundaries.

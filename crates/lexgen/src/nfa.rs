@@ -133,22 +133,24 @@ impl Nfa {
         }
     }
 
-    /// ε-closure of a state set (sorted, deduped).
-    pub fn eps_closure(&self, set: &[StateId]) -> Vec<StateId> {
-        let mut seen = vec![false; self.states.len()];
-        let mut stack: Vec<StateId> = set.to_vec();
-        for &s in set {
-            seen[s] = true;
-        }
+    /// ε-closure of a state set (sorted, deduped). Sparse: `seen` is a
+    /// scratch bitmap reused across calls (all-false between them), so
+    /// the cost is the closure's size, not the automaton's.
+    pub fn eps_closure(&self, set: &[StateId], seen: &mut Vec<bool>) -> Vec<StateId> {
+        seen.resize(self.states.len(), false);
+        let mut out = Vec::new();
+        let mut stack = set.to_vec();
         while let Some(s) = stack.pop() {
-            for &t in &self.states[s].eps {
-                if !seen[t] {
-                    seen[t] = true;
-                    stack.push(t);
-                }
+            if !std::mem::replace(&mut seen[s], true) {
+                out.push(s);
+                stack.extend(&self.states[s].eps);
             }
         }
-        (0..self.states.len()).filter(|&i| seen[i]).collect()
+        for &s in &out {
+            seen[s] = false;
+        }
+        out.sort_unstable();
+        out
     }
 
     /// Simulate the NFA on `input` from the start state; returns the
@@ -156,23 +158,22 @@ impl Nfa {
     /// by smallest tag) and the match length. Reference semantics for
     /// differential tests and the naive-scanner ablation.
     pub fn simulate(&self, input: &str) -> Option<(usize, usize)> {
-        let mut current = self.eps_closure(&[self.start()]);
+        let mut seen = Vec::new();
+        let mut current = self.eps_closure(&[self.start()], &mut seen);
         let mut best: Option<(usize, usize)> = None;
         let mut len = 0usize;
         self.note_accept(&current, len, &mut best);
         for c in input.chars() {
-            let mut next: Vec<StateId> = Vec::new();
-            for &s in &current {
-                for (class, t) in &self.states[s].trans {
-                    if class.contains(c) && !next.contains(t) {
-                        next.push(*t);
-                    }
-                }
-            }
+            let next: Vec<StateId> = current
+                .iter()
+                .flat_map(|&s| &self.states[s].trans)
+                .filter(|(class, _)| class.contains(c))
+                .map(|&(_, t)| t)
+                .collect();
             if next.is_empty() {
                 break;
             }
-            current = self.eps_closure(&next);
+            current = self.eps_closure(&next, &mut seen);
             len += c.len_utf8();
             self.note_accept(&current, len, &mut best);
         }

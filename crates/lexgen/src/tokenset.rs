@@ -190,16 +190,7 @@ impl TokenSet {
     /// patterns of the same length; longest-match still lets a longer
     /// pattern win.
     pub fn build(&self) -> Result<Scanner, TokenSetError> {
-        let ordered = self.prioritized();
-        let mut nfa = Nfa::new();
-        for (tag, rule) in ordered.iter().enumerate() {
-            let re = rule.to_regex().map_err(|error| TokenSetError::BadPattern {
-                name: rule.name.clone(),
-                error,
-            })?;
-            nfa.add_pattern(&re, tag);
-        }
-        nfa.finish();
+        let (ordered, nfa) = self.prioritized_nfa()?;
         let dfa = minimize(&Dfa::from_nfa(&nfa));
         let skip: BitSet = ordered.iter().map(TokenRule::is_skip).collect();
         let compiled = CompiledDfa::compile(&dfa, &skip);
@@ -234,6 +225,22 @@ impl TokenSet {
                 Ok(nfa)
             })
             .collect()
+    }
+
+    /// The [`TokenSet::prioritized`] rules compiled into one tagged NFA
+    /// (tag = priority index), as the scanner and the lint analysis see it.
+    pub(crate) fn prioritized_nfa(&self) -> Result<(Vec<TokenRule>, Nfa), TokenSetError> {
+        let rules = self.prioritized();
+        let mut nfa = Nfa::new();
+        for (tag, rule) in rules.iter().enumerate() {
+            let re = rule.to_regex().map_err(|error| TokenSetError::BadPattern {
+                name: rule.name.clone(),
+                error,
+            })?;
+            nfa.add_pattern(&re, tag);
+        }
+        nfa.finish();
+        Ok((rules, nfa))
     }
 
     /// Rules with keywords/puncts hoisted above patterns/skips.

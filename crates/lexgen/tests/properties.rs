@@ -11,10 +11,12 @@ use sqlweave_lexgen::regex::{parse, Regex};
 /// A strategy for random regexes over a small alphabet, by construction
 /// valid (we generate the AST, then render it to pattern syntax).
 fn arb_regex() -> impl Strategy<Value = String> {
-    let leaf = prop_oneof![
-        prop::sample::select(vec!["a", "b", "c", "[ab]", "[a-c]", "[^a]", "x"])
-            .prop_map(str::to_string),
-    ];
+    arb_regex_over(vec!["a", "b", "c", "[ab]", "[a-c]", "[^a]", "x"])
+}
+
+/// Random regexes over the given leaf patterns.
+fn arb_regex_over(leaves: Vec<&'static str>) -> impl Strategy<Value = String> {
+    let leaf = prop::sample::select(leaves).prop_map(str::to_string);
     leaf.prop_recursive(3, 24, 4, |inner| {
         prop_oneof![
             // concatenation
@@ -125,6 +127,34 @@ proptest! {
         if let (Err(f), Err(i)) = (&fast, &interval) {
             prop_assert_eq!(f.to_string(), i.to_string());
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// Several tagged patterns in one automaton, over classes that overlap
+    /// each other and cross the ASCII boundary (ranges straddling it,
+    /// multi-byte and astral scalars, negations covering almost all of
+    /// Unicode): the alphabet partition and the per-interval moves of the
+    /// subset construction must agree with direct NFA simulation.
+    #[test]
+    fn tagged_sets_with_wide_classes_agree_with_nfa(
+        patterns in prop::collection::vec(
+            arb_regex_over(vec!["a", "é", "[a-zé]", "[x-λ]", "[^a]", "[^é-中]", "[λ-🦀]", "中"]),
+            2..5,
+        ),
+        input in arb_utf8_input(),
+    ) {
+        let mut nfa = Nfa::new();
+        for (tag, p) in patterns.iter().enumerate() {
+            nfa.add_pattern(&parse(p).unwrap(), tag);
+        }
+        nfa.finish();
+        let dfa = Dfa::from_nfa(&nfa);
+        let d = dfa.simulate(&input);
+        prop_assert_eq!(nfa.simulate(&input), d, "NFA vs DFA on {:?} / {:?}", patterns, input);
+        prop_assert_eq!(d, minimize(&dfa).simulate(&input), "DFA vs minimized on {:?}", patterns);
     }
 }
 
