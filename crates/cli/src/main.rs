@@ -24,11 +24,17 @@
 //! sqlweave certify [--dialect-model N] family-based product-line certification
 //! sqlweave bench [--json]              corpus throughput per dialect × engine
 //! ```
+//!
+//! Every subcommand declares its flags as a [`Spec`] and returns a
+//! [`CmdResult`]; `main` reports errors and picks the exit code.
 
+mod args;
+
+use args::{compose_features, read_file, write_doc, Args, CliError, CmdResult, Flag, Spec};
 use sqlweave_dialects::Dialect;
-use sqlweave_grammar::lookahead::{analyze_lookahead, LookaheadAnalysis, Outcome, K_MAX};
 use sqlweave_feature_model::analysis::census;
 use sqlweave_feature_model::render;
+use sqlweave_grammar::lookahead::{analyze_lookahead, LookaheadAnalysis, Outcome, K_MAX};
 use sqlweave_sql_features::{catalog, DIAGRAMS};
 use std::process::ExitCode;
 
@@ -69,111 +75,49 @@ fn main() -> ExitCode {
     let Some(cmd) = args.first().map(String::as_str) else {
         return usage();
     };
-    match cmd {
-        "features" => cmd_features(&args[1..]),
-        "census" => cmd_census(),
-        "dialects" => cmd_dialects(&args[1..]),
-        "compose" => cmd_compose(&args[1..]),
-        "parse" => cmd_parse(&args[1..], true),
-        "check" => cmd_parse(&args[1..], false),
-        "lex" => cmd_lex(&args[1..]),
-        "format" => cmd_format(&args[1..]),
-        "generate" => cmd_generate(&args[1..]),
-        "lint" => cmd_lint(&args[1..]),
-        "lineage" => cmd_lineage(&args[1..]),
-        "analyze" => cmd_analyze(&args[1..]),
-        "certify" => cmd_certify(&args[1..]),
-        "bench" => cmd_bench(&args[1..]),
-        _ => usage(),
-    }
-}
-
-/// Parsed `lint` arguments.
-struct LintArgs {
-    format_json: bool,
-    all_dialects: bool,
-    /// `--codes` with no value: print the catalog.
-    codes: bool,
-    /// `--codes SW001,SW4xx`: restrict output to these codes.
-    code_filter: Option<String>,
-    dialect: Option<String>,
-    grammar_file: Option<String>,
-    tokens_file: Option<String>,
-    schema_file: Option<String>,
-    sql: Option<String>,
-    features: Vec<String>,
-}
-
-fn parse_lint_args(args: &[String]) -> Option<LintArgs> {
-    let mut parsed = LintArgs {
-        format_json: false,
-        all_dialects: false,
-        codes: false,
-        code_filter: None,
-        dialect: None,
-        grammar_file: None,
-        tokens_file: None,
-        schema_file: None,
-        sql: None,
-        features: Vec::new(),
+    let rest = &args[1..];
+    let result = match cmd {
+        "features" => cmd_features(rest),
+        "census" => cmd_census(rest),
+        "dialects" => cmd_dialects(rest),
+        "compose" => cmd_compose(rest),
+        "parse" => cmd_parse(rest, true),
+        "check" => cmd_parse(rest, false),
+        "lex" => cmd_lex(rest),
+        "format" => cmd_format(rest),
+        "generate" => cmd_generate(rest),
+        "lint" => cmd_lint(rest),
+        "lineage" => cmd_lineage(rest),
+        "analyze" => cmd_analyze(rest),
+        "certify" => cmd_certify(rest),
+        "bench" => cmd_bench(rest),
+        _ => Err(CliError::Usage),
     };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--format" => {
-                match args.get(i + 1).map(String::as_str) {
-                    Some("json") => parsed.format_json = true,
-                    Some("text") => parsed.format_json = false,
-                    _ => return None,
-                }
-                i += 2;
-            }
-            "--all-dialects" => {
-                parsed.all_dialects = true;
-                i += 1;
-            }
-            "--codes" => {
-                // Value form filters; bare form prints the catalog. A
-                // following flag (or nothing) means the bare form.
-                match args.get(i + 1) {
-                    Some(v) if !v.starts_with("--") => {
-                        parsed.code_filter = Some(v.clone());
-                        i += 2;
-                    }
-                    _ => {
-                        parsed.codes = true;
-                        i += 1;
-                    }
-                }
-            }
-            "--dialect" => {
-                parsed.dialect = Some(args.get(i + 1)?.clone());
-                i += 2;
-            }
-            "--grammar" => {
-                parsed.grammar_file = Some(args.get(i + 1)?.clone());
-                i += 2;
-            }
-            "--tokens" => {
-                parsed.tokens_file = Some(args.get(i + 1)?.clone());
-                i += 2;
-            }
-            "--schema" => {
-                parsed.schema_file = Some(args.get(i + 1)?.clone());
-                i += 2;
-            }
-            "--sql" => {
-                parsed.sql = Some(args.get(i + 1)?.clone());
-                i += 2;
-            }
-            flag if flag.starts_with("--") => return None,
-            _ => {
-                parsed.features.push(args[i].clone());
-                i += 1;
-            }
+    match result {
+        Ok(code) => code,
+        Err(CliError::Usage) => usage(),
+        Err(CliError::Failed(msg)) => {
+            eprintln!("{msg}");
+            ExitCode::FAILURE
+        }
+        Err(CliError::Fatal(msg)) => {
+            eprintln!("{msg}");
+            ExitCode::from(2)
         }
     }
-    Some(parsed)
+}
+
+/// Only positional arguments: a feature selection.
+const FEATURE_LIST: Spec = Spec {
+    flags: &[],
+    format: false,
+    max_positionals: usize::MAX,
+};
+
+/// `--dialect NAME` (default `full`) and the SQL positional.
+fn dialect_and_sql(a: &Args) -> Result<(Dialect, &str), CliError> {
+    let dialect = a.dialect()?.unwrap_or(Dialect::Full);
+    Ok((dialect, a.positional().ok_or(CliError::Usage)?))
 }
 
 /// Resolve a `--codes` filter list against the catalog. Unknown or
@@ -246,35 +190,41 @@ fn emit_lint_reports(reports: &[sqlweave_lint::LintReport], json: bool) -> ExitC
     }
 }
 
-/// Load a `sqlweave-schema/v1` catalog file for the semantic passes.
-fn load_schema(path: &str) -> Result<sqlweave_sema::SchemaCatalog, String> {
-    let src =
-        std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
-    sqlweave_sema::SchemaCatalog::from_json(&src)
-        .map_err(|e| format!("cannot parse schema `{path}`: {e}"))
-}
-
-/// Semantic lint over a SQL script: parse with the dialect's composed
-/// parser, run the resolver, and report the SW4xx findings.
-fn lint_sql(
-    dialect: Dialect,
-    sql: &str,
-    schema: Option<&sqlweave_sema::SchemaCatalog>,
-) -> Result<sqlweave_lint::LintReport, String> {
-    let caps = sqlweave_sema::ResolverCaps::for_dialect(dialect);
-    let analysis = sqlweave_sema::analyze(sql, dialect, &caps, schema)
-        .map_err(|e| format!("rejected by `{}`: {e}", dialect.name()))?;
-    let mut report = sqlweave_lint::LintReport::new(format!("{}:script", dialect.name()));
-    report.extend(analysis.diagnostics);
-    Ok(report)
-}
-
-fn cmd_lint(args: &[String]) -> ExitCode {
-    let Some(parsed) = parse_lint_args(args) else {
-        return usage();
+/// Name resolution over one script for `lint --sql` and `lineage`: the
+/// `--dialect` (default `full`) and the optional `--schema` catalog
+/// (`sqlweave-schema/v1`).
+fn analyze_sql(a: &Args, sql: &str) -> Result<(Dialect, sqlweave_sema::Analysis), CliError> {
+    let dialect = a.dialect()?.unwrap_or(Dialect::Full);
+    let schema = match a.value("--schema") {
+        Some(path) => Some(
+            sqlweave_sema::SchemaCatalog::from_json(&read_file(path)?)
+                .map_err(|e| format!("cannot parse schema `{path}`: {e}"))?,
+        ),
+        None => None,
     };
+    let caps = sqlweave_sema::ResolverCaps::for_dialect(dialect);
+    let analysis = sqlweave_sema::analyze(sql, dialect, &caps, schema.as_ref())
+        .map_err(|e| format!("rejected by `{}`: {e}", dialect.name()))?;
+    Ok((dialect, analysis))
+}
 
-    if parsed.codes {
+const LINT: Spec = Spec {
+    flags: &[
+        ("--all-dialects", Flag::Switch),
+        ("--codes", Flag::OptionalValue),
+        ("--dialect", Flag::Value),
+        ("--grammar", Flag::Value),
+        ("--tokens", Flag::Value),
+        ("--schema", Flag::Value),
+        ("--sql", Flag::Value),
+    ],
+    format: true,
+    max_positionals: usize::MAX,
+};
+
+fn cmd_lint(args: &[String]) -> CmdResult {
+    let a = LINT.scan(args)?;
+    if a.has("--codes") {
         println!("{:<6} {:<8} {:<14} description", "code", "severity", "layer");
         for c in sqlweave_lint::Code::ALL {
             println!(
@@ -285,197 +235,55 @@ fn cmd_lint(args: &[String]) -> ExitCode {
                 c.title()
             );
         }
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
+    let filter = a
+        .value("--codes")
+        .map(parse_code_filter)
+        .transpose()
+        .map_err(CliError::Fatal)?;
+    let composition_failed = |e: sqlweave_core::PipelineError| format!("composition failed: {e}");
 
-    let filter = match &parsed.code_filter {
-        Some(list) => match parse_code_filter(list) {
-            Ok(codes) => Some(codes),
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::from(2);
-            }
-        },
-        None => None,
-    };
-    let emit = |reports: Vec<sqlweave_lint::LintReport>| {
-        let reports = match &filter {
-            Some(keep) => filter_reports(reports, keep),
-            None => reports,
-        };
-        emit_lint_reports(&reports, parsed.format_json)
-    };
-
-    if let Some(sql) = &parsed.sql {
-        let dialect = match &parsed.dialect {
-            Some(name) => match Dialect::ALL.iter().find(|d| d.name() == *name) {
-                Some(&d) => d,
-                None => {
-                    eprintln!("unknown dialect `{name}`; run `sqlweave dialects` for the list");
-                    return ExitCode::FAILURE;
-                }
-            },
-            None => Dialect::Full,
-        };
-        let schema = match &parsed.schema_file {
-            Some(path) => match load_schema(path) {
-                Ok(cat) => Some(cat),
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            None => None,
-        };
-        return match lint_sql(dialect, sql, schema.as_ref()) {
-            Ok(report) => emit(vec![report]),
-            Err(e) => {
-                eprintln!("{e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-
-    if parsed.all_dialects {
-        return match sqlweave_lint::lint_all_dialects() {
-            Ok(reports) => emit(reports),
-            Err(e) => {
-                eprintln!("composition failed: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-
-    if let Some(gfile) = &parsed.grammar_file {
-        let grammar_src = match std::fs::read_to_string(gfile) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("cannot read `{gfile}`: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let grammar = match sqlweave_grammar::dsl::parse_grammar(&grammar_src) {
-            Ok(g) => g,
-            Err(e) => {
-                eprintln!("cannot parse grammar `{gfile}`: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let report = match &parsed.tokens_file {
+    let reports = if let Some(sql) = a.value("--sql") {
+        let (dialect, analysis) = analyze_sql(&a, sql)?;
+        let mut report = sqlweave_lint::LintReport::new(format!("{}:script", dialect.name()));
+        report.extend(analysis.diagnostics);
+        vec![report]
+    } else if a.has("--all-dialects") {
+        sqlweave_lint::lint_all_dialects().map_err(composition_failed)?
+    } else if let Some(gfile) = a.value("--grammar") {
+        let grammar = sqlweave_grammar::dsl::parse_grammar(&read_file(gfile)?)
+            .map_err(|e| format!("cannot parse grammar `{gfile}`: {e}"))?;
+        vec![match a.value("--tokens") {
             Some(tfile) => {
-                let tokens_src = match std::fs::read_to_string(tfile) {
-                    Ok(s) => s,
-                    Err(e) => {
-                        eprintln!("cannot read `{tfile}`: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                match sqlweave_grammar::dsl::parse_tokens(&tokens_src) {
-                    Ok(tokens) => sqlweave_lint::lint_pair(gfile, &grammar, &tokens),
-                    Err(e) => {
-                        eprintln!("cannot parse tokens `{tfile}`: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
+                let tokens = sqlweave_grammar::dsl::parse_tokens(&read_file(tfile)?)
+                    .map_err(|e| format!("cannot parse tokens `{tfile}`: {e}"))?;
+                sqlweave_lint::lint_pair(gfile, &grammar, &tokens)
             }
             None => sqlweave_lint::lint_grammar(gfile, &grammar),
-        };
-        return emit(vec![report]);
-    }
-
-    if let Some(name) = &parsed.dialect {
-        let Some(&dialect) = Dialect::ALL.iter().find(|d| d.name() == *name) else {
-            eprintln!("unknown dialect `{name}`; run `sqlweave dialects` for the list");
-            return ExitCode::FAILURE;
-        };
-        return match sqlweave_lint::lint_dialect(dialect) {
-            Ok(report) => emit(vec![report]),
-            Err(e) => {
-                eprintln!("composition failed: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-
-    if parsed.features.is_empty() {
-        return usage();
-    }
-    let cat = catalog();
-    let config = match cat.complete(parsed.features.iter().cloned()) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("invalid selection: {e}");
-            return ExitCode::FAILURE;
-        }
+        }]
+    } else if let Some(dialect) = a.dialect()? {
+        vec![sqlweave_lint::lint_dialect(dialect).map_err(composition_failed)?]
+    } else {
+        vec![sqlweave_lint::lint_composed(&compose_features(&a.positionals)?)]
     };
-    let composed = match cat.pipeline().compose(&config) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("composition failed: {e}");
-            return ExitCode::FAILURE;
-        }
+    let reports = match &filter {
+        Some(keep) => filter_reports(reports, keep),
+        None => reports,
     };
-    emit(vec![sqlweave_lint::lint_composed(&composed)])
+    Ok(emit_lint_reports(&reports, a.json))
 }
 
-/// Parsed `lineage` arguments.
-struct LineageArgs {
-    format_json: bool,
-    dialect: Option<String>,
-    schema_file: Option<String>,
-    check: Option<String>,
-    write: Option<String>,
-    sql: Option<String>,
-}
-
-fn parse_lineage_args(args: &[String]) -> Option<LineageArgs> {
-    let mut parsed = LineageArgs {
-        format_json: false,
-        dialect: None,
-        schema_file: None,
-        check: None,
-        write: None,
-        sql: None,
-    };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--format" => {
-                match args.get(i + 1).map(String::as_str) {
-                    Some("json") => parsed.format_json = true,
-                    Some("text") => parsed.format_json = false,
-                    _ => return None,
-                }
-                i += 2;
-            }
-            "--dialect" => {
-                parsed.dialect = Some(args.get(i + 1)?.clone());
-                i += 2;
-            }
-            "--schema" => {
-                parsed.schema_file = Some(args.get(i + 1)?.clone());
-                i += 2;
-            }
-            "--check" => {
-                parsed.check = Some(args.get(i + 1)?.clone());
-                i += 2;
-            }
-            "--write" => {
-                parsed.write = Some(args.get(i + 1)?.clone());
-                i += 2;
-            }
-            flag if flag.starts_with("--") => return None,
-            _ => {
-                if parsed.sql.is_some() {
-                    return None;
-                }
-                parsed.sql = Some(args[i].clone());
-                i += 1;
-            }
-        }
-    }
-    Some(parsed)
-}
+const LINEAGE: Spec = Spec {
+    flags: &[
+        ("--dialect", Flag::Value),
+        ("--schema", Flag::Value),
+        ("--check", Flag::Value),
+        ("--write", Flag::Value),
+    ],
+    format: true,
+    max_positionals: 1,
+};
 
 /// Name resolution + lineage over a script (`sqlweave lineage`). With a
 /// SQL argument: analyze it under one dialect and print the
@@ -483,43 +291,15 @@ fn parse_lineage_args(args: &[String]) -> Option<LineageArgs> {
 /// sweep the per-dialect fixture scripts into the golden inventory that
 /// `--write` refreshes and `--check` gates CI on — the same workflow as
 /// `analyze --check`.
-fn cmd_lineage(args: &[String]) -> ExitCode {
-    let Some(parsed) = parse_lineage_args(args) else {
-        return usage();
-    };
-    if let Some(sql) = &parsed.sql {
-        if parsed.check.is_some() || parsed.write.is_some() {
-            return usage();
+fn cmd_lineage(args: &[String]) -> CmdResult {
+    let a = LINEAGE.scan(args)?;
+    let golden = a.golden();
+    if let Some(sql) = a.positional() {
+        if !golden.is_off() {
+            return Err(CliError::Usage);
         }
-        let dialect = match &parsed.dialect {
-            Some(name) => match Dialect::ALL.iter().find(|d| d.name() == *name) {
-                Some(&d) => d,
-                None => {
-                    eprintln!("unknown dialect `{name}`; run `sqlweave dialects` for the list");
-                    return ExitCode::FAILURE;
-                }
-            },
-            None => Dialect::Full,
-        };
-        let schema = match &parsed.schema_file {
-            Some(path) => match load_schema(path) {
-                Ok(cat) => Some(cat),
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            None => None,
-        };
-        let caps = sqlweave_sema::ResolverCaps::for_dialect(dialect);
-        let analysis = match sqlweave_sema::analyze(sql, dialect, &caps, schema.as_ref()) {
-            Ok(a) => a,
-            Err(e) => {
-                eprintln!("rejected by `{}`: {e}", dialect.name());
-                return ExitCode::FAILURE;
-            }
-        };
-        if parsed.format_json {
+        let (dialect, analysis) = analyze_sql(&a, sql)?;
+        if a.json {
             println!("{}", sqlweave_sema::lineage_json(dialect.name(), &analysis));
         } else {
             print!("{}", sqlweave_sema::lineage_text(dialect.name(), &analysis));
@@ -527,13 +307,10 @@ fn cmd_lineage(args: &[String]) -> ExitCode {
                 println!("  {d}");
             }
         }
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
-    if parsed.check.is_none() && parsed.write.is_none() {
-        return usage();
-    }
-    if parsed.dialect.is_some() || parsed.schema_file.is_some() {
-        return usage();
+    if golden.is_off() || a.value("--dialect").is_some() || a.value("--schema").is_some() {
+        return Err(CliError::Usage);
     }
     // Inventory mode: every dialect's fixture script, resolved under that
     // dialect's own capabilities, no external catalog (the fixtures carry
@@ -541,103 +318,17 @@ fn cmd_lineage(args: &[String]) -> ExitCode {
     let mut entries: Vec<(String, sqlweave_sema::Analysis)> = Vec::new();
     for (dialect, script) in sqlweave_sema::fixtures::all() {
         let caps = sqlweave_sema::ResolverCaps::for_dialect(dialect);
-        match sqlweave_sema::analyze(script, dialect, &caps, None) {
-            Ok(a) => entries.push((dialect.name().to_string(), a)),
-            Err(e) => {
-                eprintln!("{}: fixture rejected: {e}", dialect.name());
-                return ExitCode::FAILURE;
-            }
-        }
+        let analysis = sqlweave_sema::analyze(script, dialect, &caps, None)
+            .map_err(|e| format!("{}: fixture rejected: {e}", dialect.name()))?;
+        entries.push((dialect.name().to_string(), analysis));
     }
     let doc = sqlweave_sema::inventory_json(&entries);
-    if let Some(path) = &parsed.write {
-        if let Err(e) = std::fs::write(path, format!("{doc}\n")) {
-            eprintln!("cannot write `{path}`: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("wrote {path}");
-    }
-    if parsed.format_json {
+    golden.write(&doc)?;
+    if a.json {
         println!("{doc}");
     }
-    if let Some(path) = &parsed.check {
-        let golden = match std::fs::read_to_string(path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("cannot read `{path}`: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if golden.trim_end() != doc {
-            eprintln!(
-                "lineage inventory drifted from `{path}`; \
-                 rerun with `--write {path}` and review the diff"
-            );
-            return ExitCode::FAILURE;
-        }
-        eprintln!("inventory matches {path}");
-    }
-    ExitCode::SUCCESS
-}
-
-/// Parsed `analyze` arguments.
-struct AnalyzeArgs {
-    format_json: bool,
-    all_dialects: bool,
-    dialect: Option<String>,
-    lookahead: usize,
-    check: Option<String>,
-    write: Option<String>,
-}
-
-fn parse_analyze_args(args: &[String]) -> Option<AnalyzeArgs> {
-    let mut parsed = AnalyzeArgs {
-        format_json: false,
-        all_dialects: false,
-        dialect: None,
-        lookahead: K_MAX,
-        check: None,
-        write: None,
-    };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--format" => {
-                match args.get(i + 1).map(String::as_str) {
-                    Some("json") => parsed.format_json = true,
-                    Some("text") => parsed.format_json = false,
-                    _ => return None,
-                }
-                i += 2;
-            }
-            "--all-dialects" => {
-                parsed.all_dialects = true;
-                i += 1;
-            }
-            "--dialect" => {
-                parsed.dialect = Some(args.get(i + 1)?.clone());
-                i += 2;
-            }
-            "--lookahead" => {
-                let k: usize = args.get(i + 1).and_then(|s| s.parse().ok())?;
-                if k == 0 {
-                    return None;
-                }
-                parsed.lookahead = k;
-                i += 2;
-            }
-            "--check" => {
-                parsed.check = Some(args.get(i + 1)?.clone());
-                i += 2;
-            }
-            "--write" => {
-                parsed.write = Some(args.get(i + 1)?.clone());
-                i += 2;
-            }
-            _ => return None,
-        }
-    }
-    Some(parsed)
+    golden.check(&doc, "lineage")?;
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Run the static LL(k) lookahead pass on one dialect's composed grammar.
@@ -740,67 +431,46 @@ fn lookahead_text(k: usize, dialects: &[(String, LookaheadAnalysis)]) -> String 
     s
 }
 
+const ANALYZE: Spec = Spec {
+    flags: &[
+        ("--all-dialects", Flag::Switch),
+        ("--dialect", Flag::Value),
+        ("--lookahead", Flag::Value),
+        ("--check", Flag::Value),
+        ("--write", Flag::Value),
+    ],
+    format: true,
+    max_positionals: 0,
+};
+
 /// Static LL(k) conflict classification over dialect grammars: a human
 /// report, the `sqlweave-lookahead/v1` JSON document, and the golden-file
 /// workflow (`--write` refreshes the inventory, `--check` gates CI on it).
-fn cmd_analyze(args: &[String]) -> ExitCode {
-    let Some(parsed) = parse_analyze_args(args) else {
-        return usage();
-    };
-    if parsed.all_dialects && parsed.dialect.is_some() {
-        return usage();
+fn cmd_analyze(args: &[String]) -> CmdResult {
+    let a = ANALYZE.scan(args)?;
+    let k = a.parsed("--lookahead", |&k: &usize| k > 0)?.unwrap_or(K_MAX);
+    if a.has("--all-dialects") && a.value("--dialect").is_some() {
+        return Err(CliError::Usage);
     }
-    let targets: Vec<Dialect> = match &parsed.dialect {
-        Some(name) => {
-            let Some(&d) = Dialect::ALL.iter().find(|d| d.name() == *name) else {
-                eprintln!("unknown dialect `{name}`; run `sqlweave dialects` for the list");
-                return ExitCode::FAILURE;
-            };
-            vec![d]
-        }
+    let targets = match a.dialect()? {
+        Some(d) => vec![d],
         None => Dialect::ALL.to_vec(),
     };
     let mut results: Vec<(String, LookaheadAnalysis)> = Vec::new();
     for d in targets {
-        match analyze_one(d, parsed.lookahead) {
-            Ok(la) => results.push((d.name().to_string(), la)),
-            Err(e) => {
-                eprintln!("{}: {e}", d.name());
-                return ExitCode::FAILURE;
-            }
-        }
+        let la = analyze_one(d, k).map_err(|e| format!("{}: {e}", d.name()))?;
+        results.push((d.name().to_string(), la));
     }
-    let doc = lookahead_json(parsed.lookahead.min(K_MAX), &results);
-    if let Some(path) = &parsed.write {
-        if let Err(e) = std::fs::write(path, format!("{doc}\n")) {
-            eprintln!("cannot write `{path}`: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("wrote {path}");
-    }
-    if parsed.format_json {
+    let doc = lookahead_json(k.min(K_MAX), &results);
+    let golden = a.golden();
+    golden.write(&doc)?;
+    if a.json {
         println!("{doc}");
     } else {
-        print!("{}", lookahead_text(parsed.lookahead.min(K_MAX), &results));
+        print!("{}", lookahead_text(k.min(K_MAX), &results));
     }
-    if let Some(path) = &parsed.check {
-        let golden = match std::fs::read_to_string(path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("cannot read `{path}`: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if golden.trim_end() != doc {
-            eprintln!(
-                "conflict inventory drifted from `{path}`; \
-                 rerun with `--write {path}` and review the diff"
-            );
-            return ExitCode::FAILURE;
-        }
-        eprintln!("inventory matches {path}");
-    }
-    ExitCode::SUCCESS
+    golden.check(&doc, "conflict")?;
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Build the diagram listing, or report the first name in `names` that
@@ -819,132 +489,61 @@ fn features_listing(
     Ok(out)
 }
 
-/// Parsed `certify` arguments.
-struct CertifyArgs {
-    format_json: bool,
-    models: Vec<String>,
-    limit: usize,
-    force_sample: bool,
-    check: Option<String>,
-    write: Option<String>,
+fn unknown_diagram(name: &str) -> CliError {
+    format!("unknown diagram `{name}`; run `sqlweave features` for the list").into()
 }
 
-fn parse_certify_args(args: &[String]) -> Option<CertifyArgs> {
-    let mut parsed = CertifyArgs {
-        format_json: false,
-        models: Vec::new(),
-        limit: sqlweave_lint::certify::DEFAULT_LIMIT,
-        force_sample: false,
-        check: None,
-        write: None,
-    };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--format" => {
-                match args.get(i + 1).map(String::as_str) {
-                    Some("json") => parsed.format_json = true,
-                    Some("text") => parsed.format_json = false,
-                    _ => return None,
-                }
-                i += 2;
-            }
-            "--dialect-model" => {
-                parsed.models.push(args.get(i + 1)?.clone());
-                i += 2;
-            }
-            "--limit" => {
-                parsed.limit = args.get(i + 1)?.parse().ok().filter(|n| *n > 0)?;
-                i += 2;
-            }
-            "--sample" => {
-                if args.get(i + 1).map(String::as_str) != Some("pairwise") {
-                    return None;
-                }
-                parsed.force_sample = true;
-                i += 2;
-            }
-            "--check" => {
-                parsed.check = Some(args.get(i + 1)?.clone());
-                i += 2;
-            }
-            "--write" => {
-                parsed.write = Some(args.get(i + 1)?.clone());
-                i += 2;
-            }
-            _ => return None,
-        }
-    }
-    Some(parsed)
-}
+const CERTIFY: Spec = Spec {
+    flags: &[
+        ("--dialect-model", Flag::Value),
+        ("--limit", Flag::Value),
+        ("--sample", Flag::Value),
+        ("--check", Flag::Value),
+        ("--write", Flag::Value),
+    ],
+    format: true,
+    max_positionals: 0,
+};
 
-fn cmd_certify(args: &[String]) -> ExitCode {
+fn cmd_certify(args: &[String]) -> CmdResult {
     use sqlweave_lint::certify;
 
-    let Some(parsed) = parse_certify_args(args) else {
-        return usage();
-    };
+    let a = CERTIFY.scan(args)?;
     let opts = certify::CertifyOptions {
-        limit: parsed.limit,
-        force_sample: parsed.force_sample,
+        limit: a
+            .parsed("--limit", |&n: &usize| n > 0)?
+            .unwrap_or(certify::DEFAULT_LIMIT),
+        force_sample: a
+            .parsed("--sample", |s: &String| s == "pairwise")?
+            .is_some(),
     };
-    let certs = if parsed.models.is_empty() {
+    let certs = if a.value("--dialect-model").is_none() {
         certify::certify_default(&opts)
     } else {
-        let mut certs = Vec::new();
-        for name in &parsed.models {
-            match certify::certify_catalog_model(name, &opts) {
-                Some(c) => certs.push(c),
-                None => {
-                    eprintln!(
-                        "unknown diagram `{name}`; run `sqlweave features` for the list"
-                    );
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        certs
+        a.values("--dialect-model")
+            .map(|name| {
+                certify::certify_catalog_model(name, &opts).ok_or_else(|| unknown_diagram(name))
+            })
+            .collect::<Result<Vec<_>, _>>()?
     };
 
-    let doc = certify::certification_json(&certs, parsed.limit);
-    if parsed.format_json {
+    let doc = certify::certification_json(&certs, opts.limit);
+    if a.json {
         println!("{doc}");
     } else {
         for c in &certs {
             print!("{}", c.render_text());
         }
     }
-    if let Some(path) = &parsed.write {
-        if let Err(e) = std::fs::write(path, format!("{doc}\n")) {
-            eprintln!("cannot write `{path}`: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("wrote {path}");
-    }
-    if let Some(path) = &parsed.check {
-        let golden = match std::fs::read_to_string(path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("cannot read `{path}`: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if golden.trim_end() != doc {
-            eprintln!(
-                "certification inventory drifted from `{path}`; \
-                 rerun with `--write {path}` and review the diff"
-            );
-            return ExitCode::FAILURE;
-        }
-        eprintln!("inventory matches {path}");
-        return ExitCode::SUCCESS;
-    }
+    let golden = a.golden();
+    golden.write(&doc)?;
+    golden.check(&doc, "certification")?;
     // Outside golden-gating, error-severity findings fail the run — that is
     // the certification verdict.
-    if parsed.write.is_none() && certs.iter().any(|c| c.has_errors()) {
-        return ExitCode::FAILURE;
+    if golden.is_off() && certs.iter().any(|c| c.has_errors()) {
+        return Ok(ExitCode::FAILURE);
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Schema identifier for `sqlweave features --format json`.
@@ -954,34 +553,6 @@ const DIALECTS_SCHEMA: &str = "sqlweave-dialects/v1";
 
 fn json_str(s: &str) -> String {
     format!("\"{}\"", sqlweave_lint::json::escape(s))
-}
-
-/// Parse a trailing `[NAME] [--format text|json]` argument list shared by
-/// `features` and `dialects`. Returns `(positional, json)`.
-fn parse_listing_args(args: &[String]) -> Option<(Option<String>, bool)> {
-    let mut positional = None;
-    let mut json = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--format" => {
-                match args.get(i + 1).map(String::as_str) {
-                    Some("json") => json = true,
-                    Some("text") => json = false,
-                    _ => return None,
-                }
-                i += 2;
-            }
-            flag if flag.starts_with("--") => return None,
-            name => {
-                if positional.replace(name.to_string()).is_some() {
-                    return None;
-                }
-                i += 1;
-            }
-        }
-    }
-    Some((positional, json))
 }
 
 /// The diagram census as a `sqlweave-features/v1` document. Exact
@@ -1050,56 +621,42 @@ fn diagram_json(model: &sqlweave_feature_model::FeatureModel) -> String {
     )
 }
 
-fn cmd_features(args: &[String]) -> ExitCode {
-    let Some((diagram, json)) = parse_listing_args(args) else {
-        return usage();
-    };
-    let cat = catalog();
-    match diagram.as_deref() {
-        None if json => match features_json(cat, DIAGRAMS) {
-            Ok(doc) => {
-                println!("{doc}");
-                ExitCode::SUCCESS
-            }
-            Err(missing) => {
-                eprintln!(
-                    "internal error: diagram `{missing}` is registered in DIAGRAMS \
-                     but missing from the catalog"
-                );
-                ExitCode::from(2)
-            }
-        },
-        None => match features_listing(cat, DIAGRAMS) {
-            Ok(listing) => {
-                print!("{listing}");
-                ExitCode::SUCCESS
-            }
-            Err(missing) => {
-                eprintln!(
-                    "internal error: diagram `{missing}` is registered in DIAGRAMS \
-                     but missing from the catalog"
-                );
-                ExitCode::from(2)
-            }
-        },
-        Some(name) => match cat.diagram(name) {
-            Some(model) => {
-                if json {
-                    println!("{}", diagram_json(&model));
-                } else {
-                    print!("{}", render::ascii(&model));
-                }
-                ExitCode::SUCCESS
-            }
-            None => {
-                eprintln!("unknown diagram `{name}`; run `sqlweave features` for the list");
-                ExitCode::FAILURE
-            }
-        },
+fn cmd_features(args: &[String]) -> CmdResult {
+    let a = Spec {
+        flags: &[],
+        format: true,
+        max_positionals: 1,
     }
+    .scan(args)?;
+    let cat = catalog();
+    let unregistered = |missing: String| {
+        CliError::Fatal(format!(
+            "internal error: diagram `{missing}` is registered in DIAGRAMS \
+             but missing from the catalog"
+        ))
+    };
+    match a.positional() {
+        None if a.json => println!("{}", features_json(cat, DIAGRAMS).map_err(unregistered)?),
+        None => print!("{}", features_listing(cat, DIAGRAMS).map_err(unregistered)?),
+        Some(name) => {
+            let model = cat.diagram(name).ok_or_else(|| unknown_diagram(name))?;
+            if a.json {
+                println!("{}", diagram_json(&model));
+            } else {
+                print!("{}", render::ascii(&model));
+            }
+        }
+    }
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_census() -> ExitCode {
+fn cmd_census(args: &[String]) -> CmdResult {
+    Spec {
+        flags: &[],
+        format: false,
+        max_positionals: 0,
+    }
+    .scan(args)?;
     let cat = catalog();
     let mut total = 0usize;
     println!("{:<28} {:>8} {:>6} {:>11} {:>15}", "diagram", "features", "depth", "constraints", "configurations");
@@ -1118,7 +675,7 @@ fn cmd_census() -> ExitCode {
         );
     }
     println!("TOTAL: {} diagrams, {total} features", DIAGRAMS.len());
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Preset dialect statistics as a `sqlweave-dialects/v1` document.
@@ -1144,71 +701,39 @@ fn dialects_json() -> Result<String, String> {
     ))
 }
 
-fn cmd_dialects(args: &[String]) -> ExitCode {
-    let Some((positional, json)) = parse_listing_args(args) else {
-        return usage();
-    };
-    if positional.is_some() {
-        return usage();
+fn cmd_dialects(args: &[String]) -> CmdResult {
+    let a = Spec {
+        flags: &[],
+        format: true,
+        max_positionals: 0,
     }
-    if json {
-        return match dialects_json() {
-            Ok(doc) => {
-                println!("{doc}");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("{e}");
-                ExitCode::FAILURE
-            }
-        };
+    .scan(args)?;
+    if a.json {
+        println!("{}", dialects_json()?);
+        return Ok(ExitCode::SUCCESS);
     }
     println!(
         "{:<10} {:>9} {:>12} {:>8} {:>11} {:>13}",
         "dialect", "features", "productions", "tokens", "DFA states", "byte classes"
     );
     for d in Dialect::ALL {
-        match d.parser() {
-            Ok(p) => {
-                let s = p.stats();
-                println!(
-                    "{:<10} {:>9} {:>12} {:>8} {:>11} {:>13}",
-                    d.name(),
-                    d.configuration().len(),
-                    s.productions,
-                    s.token_rules,
-                    s.dfa_states,
-                    s.byte_classes
-                );
-            }
-            Err(e) => {
-                eprintln!("{}: {e}", d.name());
-                return ExitCode::FAILURE;
-            }
-        }
+        let p = d.parser().map_err(|e| format!("{}: {e}", d.name()))?;
+        let s = p.stats();
+        println!(
+            "{:<10} {:>9} {:>12} {:>8} {:>11} {:>13}",
+            d.name(),
+            d.configuration().len(),
+            s.productions,
+            s.token_rules,
+            s.dfa_states,
+            s.byte_classes
+        );
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_compose(features: &[String]) -> ExitCode {
-    if features.is_empty() {
-        return usage();
-    }
-    let cat = catalog();
-    let config = match cat.complete(features.iter().cloned()) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("invalid selection: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let composed = match cat.pipeline().compose(&config) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("composition failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+fn cmd_compose(args: &[String]) -> CmdResult {
+    let composed = compose_features(&FEATURE_LIST.scan(args)?.positionals)?;
     eprintln!(
         "-- {} features composed in sequence; {} productions, {} tokens",
         composed.sequence.len(),
@@ -1216,25 +741,7 @@ fn cmd_compose(features: &[String]) -> ExitCode {
         composed.tokens.len()
     );
     print!("{}", sqlweave_grammar::print::to_dsl(&composed.grammar));
-    ExitCode::SUCCESS
-}
-
-/// Resolve `--dialect NAME` plus the trailing SQL argument.
-fn dialect_and_sql(args: &[String]) -> Option<(Dialect, String)> {
-    let mut dialect = Dialect::Full;
-    let mut sql = None;
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--dialect" {
-            let name = args.get(i + 1)?;
-            dialect = *Dialect::ALL.iter().find(|d| d.name() == *name)?;
-            i += 2;
-        } else {
-            sql = Some(args[i].clone());
-            i += 1;
-        }
-    }
-    Some((dialect, sql?))
+    Ok(ExitCode::SUCCESS)
 }
 
 /// The `sqlweave-diagnostics/v1` document: every diagnostic from a
@@ -1281,14 +788,8 @@ fn diagnostics_json(
 /// mode prints the full-coverage tree then one rustc-style block per
 /// diagnostic; `--format json` emits the `sqlweave-diagnostics/v1`
 /// document. Exit 0 when clean, 1 when any diagnostic was reported.
-fn cmd_parse_recover(dialect: Dialect, sql: &str, format_json: bool) -> ExitCode {
-    let parser = match dialect.parser() {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
+fn cmd_parse_recover(dialect: Dialect, sql: &str, format_json: bool) -> CmdResult {
+    let parser = dialect.parser().map_err(|e| e.to_string())?;
     let mut session = parser.session();
     let outcome = session.parse_resilient(sql);
     if format_json {
@@ -1303,11 +804,11 @@ fn cmd_parse_recover(dialect: Dialect, sql: &str, format_json: bool) -> ExitCode
             }
         }
     }
-    if outcome.errors.is_empty() {
+    Ok(if outcome.errors.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
-    }
+    })
 }
 
 /// Batch mode for `parse --stdin`: every non-empty line of stdin is one
@@ -1323,20 +824,13 @@ fn cmd_parse_recover(dialect: Dialect, sql: &str, format_json: bool) -> ExitCode
 /// [`sqlweave_parser_rt::EditError`] — a CLI bug, since the CLI computes
 /// the ranges — is reported as a diagnostic with exit code 2 instead of a
 /// panic. The default is the strict accept/reject contract.
-fn cmd_parse_stdin(dialect: Dialect, recover: bool, format_json: bool) -> ExitCode {
+fn cmd_parse_stdin(dialect: Dialect, recover: bool, format_json: bool) -> CmdResult {
     use std::io::Read as _;
     let mut input = String::new();
-    if let Err(e) = std::io::stdin().read_to_string(&mut input) {
-        eprintln!("cannot read stdin: {e}");
-        return ExitCode::FAILURE;
-    }
-    let parser = match dialect.parser() {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    std::io::stdin()
+        .read_to_string(&mut input)
+        .map_err(|e| format!("cannot read stdin: {e}"))?;
+    let parser = dialect.parser().map_err(|e| e.to_string())?;
     let mut session = parser.session();
     if recover {
         session.open_document("");
@@ -1351,13 +845,12 @@ fn cmd_parse_stdin(dialect: Dialect, recover: bool, format_json: bool) -> ExitCo
         }
         total += 1;
         if recover {
-            let outcome = match session.try_apply_edit(0..doc_len, sql) {
-                Ok(o) => o,
-                Err(e) => {
-                    eprintln!("internal error applying line {} as an edit: {e}", lineno + 1);
-                    return ExitCode::from(2);
-                }
-            };
+            let outcome = session.try_apply_edit(0..doc_len, sql).map_err(|e| {
+                CliError::Fatal(format!(
+                    "internal error applying line {} as an edit: {e}",
+                    lineno + 1
+                ))
+            })?;
             doc_len = sql.len();
             if !outcome.errors.is_empty() {
                 rejected += 1;
@@ -1385,114 +878,69 @@ fn cmd_parse_stdin(dialect: Dialect, recover: bool, format_json: bool) -> ExitCo
         }
     }
     eprintln!("{total} statement(s) through one session, {rejected} rejected");
-    if rejected == 0 {
+    Ok(if rejected == 0 {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
-    }
+    })
 }
 
-fn cmd_parse(args: &[String], verbose: bool) -> ExitCode {
-    let mut recover = false;
-    let mut format_json = false;
-    let mut stdin_batch = false;
-    let mut rest: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--recover" => {
-                recover = true;
-                i += 1;
-            }
-            "--stdin" => {
-                stdin_batch = true;
-                i += 1;
-            }
-            "--format" => {
-                match args.get(i + 1).map(String::as_str) {
-                    Some("json") => format_json = true,
-                    Some("text") => format_json = false,
-                    _ => return usage(),
-                }
-                i += 2;
-            }
-            _ => {
-                rest.push(args[i].clone());
-                i += 1;
-            }
-        }
+const PARSE: Spec = Spec {
+    flags: &[
+        ("--dialect", Flag::Value),
+        ("--recover", Flag::Switch),
+        ("--stdin", Flag::Switch),
+    ],
+    format: true,
+    max_positionals: 1,
+};
+
+fn cmd_parse(args: &[String], verbose: bool) -> CmdResult {
+    let a = PARSE.scan(args)?;
+    let (recover, stdin_batch) = (a.has("--recover"), a.has("--stdin"));
+    // `--recover`, `--format json`, and `--stdin` belong to `parse`;
+    // `check` keeps its strict accept/reject contract.
+    if (recover || a.json || stdin_batch) && !verbose {
+        return Err(CliError::Usage);
     }
-    // `--recover`, `--format`, and `--stdin` belong to `parse`; `check`
-    // keeps its strict accept/reject contract.
-    if (recover || format_json || stdin_batch) && !verbose {
-        return usage();
+    let dialect = a.dialect()?.unwrap_or(Dialect::Full);
+    // `--format json` renders recovery diagnostics: without `--recover`
+    // there is nothing to format.
+    if a.json && !recover {
+        return Err(CliError::Usage);
     }
     if stdin_batch {
-        // Batch mode reads statements from stdin; the only positional
-        // argument that still makes sense is the dialect selector.
-        let mut dialect = Dialect::Full;
-        let mut i = 0;
-        while i < rest.len() {
-            if rest[i] == "--dialect" {
-                let Some(name) = rest.get(i + 1) else {
-                    return usage();
-                };
-                let Some(&d) = Dialect::ALL.iter().find(|d| d.name() == *name) else {
-                    eprintln!("unknown dialect `{name}`; run `sqlweave dialects` for the list");
-                    return ExitCode::FAILURE;
-                };
-                dialect = d;
-                i += 2;
-            } else {
-                return usage();
-            }
+        // Batch mode reads statements from stdin, not from arguments.
+        if !a.positionals.is_empty() {
+            return Err(CliError::Usage);
         }
-        if format_json && !recover {
-            return usage();
-        }
-        return cmd_parse_stdin(dialect, recover, format_json);
+        return cmd_parse_stdin(dialect, recover, a.json);
     }
-    let Some((dialect, sql)) = dialect_and_sql(&rest) else {
-        return usage();
-    };
+    let sql = a.positional().ok_or(CliError::Usage)?;
     if recover {
-        return cmd_parse_recover(dialect, &sql, format_json);
+        return cmd_parse_recover(dialect, sql, a.json);
     }
-    if format_json {
-        return usage();
-    }
-    let parser = match dialect.parser() {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let parser = dialect.parser().map_err(|e| e.to_string())?;
     let mut session = parser.session();
-    match session.parse_tree(&sql) {
-        Ok(tree) => {
-            if verbose {
-                println!("-- concrete syntax tree --");
-                print!("{}", tree.pretty());
-                match sqlweave_sql_ast::lower::lower_tree(&tree) {
-                    Ok(stmts) => {
-                        println!("-- printed from the AST --");
-                        for s in &stmts {
-                            println!("{}", sqlweave_sql_ast::print::statement(s));
-                        }
-                    }
-                    Err(e) => eprintln!("(lowering failed: {e})"),
+    let tree = session
+        .parse_tree(sql)
+        .map_err(|e| format!("rejected by `{}`: {e}", dialect.name()))?;
+    if verbose {
+        println!("-- concrete syntax tree --");
+        print!("{}", tree.pretty());
+        match sqlweave_sql_ast::lower::lower_tree(&tree) {
+            Ok(stmts) => {
+                println!("-- printed from the AST --");
+                for s in &stmts {
+                    println!("{}", sqlweave_sql_ast::print::statement(s));
                 }
-            } else {
-                println!("accepted by `{}`", dialect.name());
             }
-            ExitCode::SUCCESS
+            Err(e) => eprintln!("(lowering failed: {e})"),
         }
-        Err(e) => {
-            eprintln!("rejected by `{}`: {e}", dialect.name());
-            ExitCode::FAILURE
-        }
+    } else {
+        println!("accepted by `{}`", dialect.name());
     }
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Dump a statement's token stream exactly as the dialect's compiled
@@ -1500,42 +948,20 @@ fn cmd_parse(args: &[String], verbose: bool) -> ExitCode {
 /// assert against, exposed for debugging token-rule composition. Skip
 /// tokens (whitespace, comments) are consumed, not shown, matching what
 /// the parser sees. `--format json` emits the `sqlweave-lex/v1` document.
-fn cmd_lex(args: &[String]) -> ExitCode {
-    let mut format_json = false;
-    let mut rest: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--format" {
-            match args.get(i + 1).map(String::as_str) {
-                Some("json") => format_json = true,
-                Some("text") => format_json = false,
-                _ => return usage(),
-            }
-            i += 2;
-        } else {
-            rest.push(args[i].clone());
-            i += 1;
-        }
+fn cmd_lex(args: &[String]) -> CmdResult {
+    let a = Spec {
+        flags: &[("--dialect", Flag::Value)],
+        format: true,
+        max_positionals: 1,
     }
-    let Some((dialect, sql)) = dialect_and_sql(&rest) else {
-        return usage();
-    };
-    let parser = match dialect.parser() {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    .scan(args)?;
+    let (dialect, sql) = dialect_and_sql(&a)?;
+    let parser = dialect.parser().map_err(|e| e.to_string())?;
     let scanner = parser.scanner();
-    let toks = match scanner.scan(&sql) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("rejected by `{}`: {e}", dialect.name());
-            return ExitCode::FAILURE;
-        }
-    };
-    if format_json {
+    let toks = scanner
+        .scan(sql)
+        .map_err(|e| format!("rejected by `{}`: {e}", dialect.name()))?;
+    if a.json {
         use sqlweave_lint::json::escape;
         let entries: Vec<String> = toks
             .iter()
@@ -1545,7 +971,7 @@ fn cmd_lex(args: &[String]) -> ExitCode {
                     escape(scanner.name(t.kind)),
                     t.start,
                     t.end,
-                    escape(t.text(&sql))
+                    escape(t.text(sql))
                 )
             })
             .collect();
@@ -1562,7 +988,7 @@ fn cmd_lex(args: &[String]) -> ExitCode {
                 scanner.name(t.kind),
                 t.start,
                 t.end,
-                t.text(&sql)
+                t.text(sql)
             );
         }
         println!(
@@ -1572,46 +998,51 @@ fn cmd_lex(args: &[String]) -> ExitCode {
             scanner.dfa_states()
         );
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// The "SQL:2003 preprocessor" use of the product line: parse a script with
 /// a dialect and print it back normalized from the AST.
-fn cmd_format(args: &[String]) -> ExitCode {
-    let Some((dialect, sql)) = dialect_and_sql(args) else {
-        return usage();
-    };
-    let parser = match dialect.parser() {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut session = parser.session();
-    let tree = match session.parse_tree(&sql) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("rejected by `{}`: {e}", dialect.name());
-            return ExitCode::FAILURE;
-        }
-    };
-    match sqlweave_sql_ast::lower::lower_tree(&tree) {
-        Ok(stmts) => {
-            for s in &stmts {
-                println!("{};", sqlweave_sql_ast::print::statement(s));
-            }
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("lowering failed: {e}");
-            ExitCode::FAILURE
-        }
+fn cmd_format(args: &[String]) -> CmdResult {
+    let a = Spec {
+        flags: &[("--dialect", Flag::Value)],
+        format: false,
+        max_positionals: 1,
     }
+    .scan(args)?;
+    let (dialect, sql) = dialect_and_sql(&a)?;
+    let parser = dialect.parser().map_err(|e| e.to_string())?;
+    let mut session = parser.session();
+    let tree = session
+        .parse_tree(sql)
+        .map_err(|e| format!("rejected by `{}`: {e}", dialect.name()))?;
+    let stmts = sqlweave_sql_ast::lower::lower_tree(&tree)
+        .map_err(|e| format!("lowering failed: {e}"))?;
+    for s in &stmts {
+        println!("{};", sqlweave_sql_ast::print::statement(s));
+    }
+    Ok(ExitCode::SUCCESS)
 }
 
+const BENCH: Spec = Spec {
+    flags: &[
+        ("--json", Flag::Switch),
+        ("--recover", Flag::Switch),
+        ("--lookahead", Flag::Value),
+        ("--iters", Flag::Value),
+        ("--corpus-mb", Flag::Value),
+        ("--edits", Flag::Value),
+        ("--dialect", Flag::Value),
+        ("--out", Flag::Value),
+        ("--baseline", Flag::Value),
+        ("--tolerance-pct", Flag::Value),
+    ],
+    format: false,
+    max_positionals: 0,
+};
+
 /// Corpus throughput sweep over dialect × engine × parse API. `--json`
-/// emits the `sqlweave-bench-parser/v7` document (already validated by the
+/// emits the `sqlweave-bench-parser/v8` document (already validated by the
 /// runner); the default is a human-readable table with the backtrack-rate
 /// column plus one lex-stage block per dialect (the B6/B9 scanner
 /// ablation) and one `sema` row per pair (the B8 parse + name-resolution
@@ -1638,139 +1069,52 @@ fn cmd_format(args: &[String]) -> ExitCode {
 /// when the vector-over-compiled speedup flattens by the same margin, or
 /// when the incremental `speedup_p50`, tail apply latency, or tree
 /// materialization cost collapses toward full-reparse cost.
-fn cmd_bench(args: &[String]) -> ExitCode {
-    let mut json = false;
-    let mut recover = false;
-    let mut iters = 200usize;
-    let mut dialects: Vec<Dialect> = Dialect::ALL.to_vec();
-    let mut out: Option<String> = None;
-    let mut lookahead: Option<usize> = None;
-    let mut corpus_mb = 0usize;
-    let mut edits = 0usize;
-    let mut baseline: Option<String> = None;
-    let mut tolerance_pct = 25.0f64;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--json" => {
-                json = true;
-                i += 1;
-            }
-            "--recover" => {
-                recover = true;
-                i += 1;
-            }
-            "--lookahead" => {
-                let Some(k) = args.get(i + 1).and_then(|s| s.parse().ok()) else {
-                    return usage();
-                };
-                lookahead = Some(k);
-                i += 2;
-            }
-            "--iters" => {
-                let Some(n) = args.get(i + 1).and_then(|s| s.parse().ok()) else {
-                    return usage();
-                };
-                iters = n;
-                i += 2;
-            }
-            "--corpus-mb" => {
-                let Some(n) = args.get(i + 1).and_then(|s| s.parse().ok()) else {
-                    return usage();
-                };
-                corpus_mb = n;
-                i += 2;
-            }
-            "--edits" => {
-                let Some(n) = args.get(i + 1).and_then(|s| s.parse().ok()) else {
-                    return usage();
-                };
-                edits = n;
-                i += 2;
-            }
-            "--dialect" => {
-                let Some(name) = args.get(i + 1) else {
-                    return usage();
-                };
-                let Some(&d) = Dialect::ALL.iter().find(|d| d.name() == *name) else {
-                    eprintln!("unknown dialect `{name}`; run `sqlweave dialects` for the list");
-                    return ExitCode::FAILURE;
-                };
-                dialects = vec![d];
-                i += 2;
-            }
-            "--out" => {
-                let Some(path) = args.get(i + 1) else {
-                    return usage();
-                };
-                out = Some(path.clone());
-                i += 2;
-            }
-            "--baseline" => {
-                let Some(path) = args.get(i + 1) else {
-                    return usage();
-                };
-                baseline = Some(path.clone());
-                i += 2;
-            }
-            "--tolerance-pct" => {
-                let Some(n) = args.get(i + 1).and_then(|s| s.parse().ok()) else {
-                    return usage();
-                };
-                tolerance_pct = n;
-                i += 2;
-            }
-            _ => return usage(),
-        }
-    }
+fn cmd_bench(args: &[String]) -> CmdResult {
+    let a = BENCH.scan(args)?;
+    let any = |_: &usize| true;
+    let (json, recover) = (a.has("--json"), a.has("--recover"));
+    let lookahead = a.parsed("--lookahead", any)?;
+    let iters = a.parsed("--iters", any)?.unwrap_or(200);
+    let corpus_mb = a.parsed("--corpus-mb", any)?.unwrap_or(0);
+    let edits = a.parsed("--edits", any)?.unwrap_or(0);
+    let tolerance_pct = a.parsed("--tolerance-pct", |_: &f64| true)?.unwrap_or(25.0);
+    let baseline = a.value("--baseline");
+    let dialects = match a.dialect()? {
+        Some(d) => vec![d],
+        None => Dialect::ALL.to_vec(),
+    };
     if iters == 0 {
-        eprintln!("--iters must be at least 1");
-        return ExitCode::FAILURE;
+        return Err("--iters must be at least 1".to_string().into());
     }
     if baseline.is_some() && (!json || (corpus_mb == 0 && edits == 0)) {
-        eprintln!(
+        return Err(
             "--baseline requires --json and --corpus-mb N or --edits N (it compares corpus_lex rates and incremental speedups)"
+                .to_string()
+                .into(),
         );
-        return ExitCode::FAILURE;
     }
     if json {
         let doc =
             sqlweave_bench::runner::run_full(&dialects, iters, lookahead, corpus_mb, edits);
-        match &out {
-            Some(path) => {
-                if let Err(e) = std::fs::write(path, format!("{doc}\n")) {
-                    eprintln!("cannot write `{path}`: {e}");
-                    return ExitCode::FAILURE;
-                }
-                eprintln!("wrote {path}");
-            }
+        match a.value("--out") {
+            Some(path) => write_doc(path, &doc)?,
             None => println!("{doc}"),
         }
-        if let Some(path) = &baseline {
-            let base = match std::fs::read_to_string(path) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("cannot read baseline `{path}`: {e}");
-                    return ExitCode::FAILURE;
+        if let Some(path) = baseline {
+            let base = std::fs::read_to_string(path)
+                .map_err(|e| format!("cannot read baseline `{path}`: {e}"))?;
+            let regressions =
+                sqlweave_bench::runner::compare_with_baseline(&doc, &base, tolerance_pct)
+                    .map_err(|e| format!("baseline check failed: {e}"))?;
+            if !regressions.is_empty() {
+                for r in &regressions {
+                    eprintln!("regression: {r}");
                 }
-            };
-            match sqlweave_bench::runner::compare_with_baseline(&doc, &base, tolerance_pct) {
-                Ok(regressions) if regressions.is_empty() => {
-                    eprintln!("baseline check passed (tolerance {tolerance_pct:.0}%)");
-                }
-                Ok(regressions) => {
-                    for r in &regressions {
-                        eprintln!("regression: {r}");
-                    }
-                    return ExitCode::FAILURE;
-                }
-                Err(e) => {
-                    eprintln!("baseline check failed: {e}");
-                    return ExitCode::FAILURE;
-                }
+                return Ok(ExitCode::FAILURE);
             }
+            eprintln!("baseline check passed (tolerance {tolerance_pct:.0}%)");
         }
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
     println!(
         "{:<10} {:<13} {:<11} {:>11} {:>13} {:>8} {:>8}",
@@ -1882,38 +1226,15 @@ fn cmd_bench(args: &[String]) -> ExitCode {
             }
         }
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_generate(features: &[String]) -> ExitCode {
-    if features.is_empty() {
-        return usage();
-    }
-    let cat = catalog();
-    let config = match cat.complete(features.iter().cloned()) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("invalid selection: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let composed = match cat.pipeline().compose(&config) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("composition failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match sqlweave_parser_rt::codegen::generate(&composed.grammar, &composed.tokens) {
-        Ok(src) => {
-            print!("{src}");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("codegen failed: {e}");
-            ExitCode::FAILURE
-        }
-    }
+fn cmd_generate(args: &[String]) -> CmdResult {
+    let composed = compose_features(&FEATURE_LIST.scan(args)?.positionals)?;
+    let src = sqlweave_parser_rt::codegen::generate(&composed.grammar, &composed.tokens)
+        .map_err(|e| format!("codegen failed: {e}"))?;
+    print!("{src}");
+    Ok(ExitCode::SUCCESS)
 }
 
 #[cfg(test)]
@@ -1981,18 +1302,9 @@ mod tests {
     }
 
     #[test]
-    fn listing_and_certify_args_parse_and_reject() {
-        let ok = |v: &[&str]| parse_listing_args(&v.iter().map(|s| s.to_string()).collect::<Vec<_>>());
-        assert_eq!(ok(&[]), Some((None, false)));
-        assert_eq!(
-            ok(&["order_by", "--format", "json"]),
-            Some((Some("order_by".into()), true))
-        );
-        assert_eq!(ok(&["--format", "yaml"]), None);
-        assert_eq!(ok(&["a", "b"]), None);
-
-        let cargs = |v: &[&str]| parse_certify_args(&v.iter().map(|s| s.to_string()).collect::<Vec<_>>());
-        let parsed = cargs(&[
+    fn certify_args_parse_and_reject() {
+        let scan = |v: &[&str]| CERTIFY.scan(&v.iter().map(|s| s.to_string()).collect::<Vec<_>>());
+        let a = scan(&[
             "--dialect-model",
             "group_by",
             "--limit",
@@ -2002,12 +1314,15 @@ mod tests {
             "--format",
             "json",
         ])
+        .ok()
         .unwrap();
-        assert_eq!(parsed.models, vec!["group_by"]);
-        assert_eq!(parsed.limit, 16);
-        assert!(parsed.force_sample && parsed.format_json);
-        assert!(cargs(&["--limit", "0"]).is_none());
-        assert!(cargs(&["--sample", "random"]).is_none());
+        assert_eq!(a.values("--dialect-model").collect::<Vec<_>>(), ["group_by"]);
+        assert_eq!(a.parsed("--limit", |&n: &usize| n > 0).ok().unwrap(), Some(16));
+        assert!(a.json);
+        let a = scan(&["--limit", "0", "--sample", "random"]).ok().unwrap();
+        assert!(a.parsed("--limit", |&n: &usize| n > 0).is_err());
+        assert!(a.parsed("--sample", |s: &String| s == "pairwise").is_err());
+        assert!(scan(&["group_by"]).is_err());
     }
 
     #[test]

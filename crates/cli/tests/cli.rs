@@ -643,3 +643,62 @@ fn lineage_rejects_bad_flags() {
     assert_eq!(run(&["lineage", "--dialect", "core", "--check", "x.json"]).status.code(), Some(2));
     assert_eq!(run(&["lineage", "--format", "yaml", "SELECT a FROM t"]).status.code(), Some(2));
 }
+
+#[test]
+fn unknown_dialect_is_named_by_every_subcommand() {
+    // One resolver: every `--dialect` consumer names the bad dialect and
+    // exits 1 instead of printing the usage text.
+    let cases: [&[&str]; 8] = [
+        &["parse", "--dialect", "nope", "SELECT a FROM t"],
+        &["check", "--dialect", "nope", "SELECT a FROM t"],
+        &["lex", "--dialect", "nope", "SELECT a FROM t"],
+        &["format", "--dialect", "nope", "SELECT a FROM t"],
+        &["lint", "--dialect", "nope"],
+        &["lineage", "--dialect", "nope", "SELECT a FROM t"],
+        &["analyze", "--dialect", "nope"],
+        &["bench", "--dialect", "nope"],
+    ];
+    for args in cases {
+        let o = run(args);
+        assert_eq!(o.status.code(), Some(1), "{args:?}: {}", stderr(&o));
+        assert_eq!(
+            stderr(&o).trim_end(),
+            "unknown dialect `nope`; run `sqlweave dialects` for the list",
+            "{args:?}"
+        );
+    }
+    let o = run_with_stdin(&["parse", "--stdin", "--dialect", "nope"], "SELECT a FROM t\n");
+    assert_eq!(o.status.code(), Some(1), "{}", stderr(&o));
+    assert!(stderr(&o).contains("unknown dialect `nope`"), "{}", stderr(&o));
+}
+
+#[test]
+fn unknown_flags_are_usage_errors() {
+    // `--bogus` used to lex as a SQL comment: "0 token(s)", exit 0.
+    let o = run(&["lex", "--dialect", "core", "--bogus"]);
+    assert_eq!(o.status.code(), Some(2), "{}", stdout(&o));
+    assert!(stdout(&o).is_empty(), "{}", stdout(&o));
+    assert!(stderr(&o).contains("usage"), "{}", stderr(&o));
+    for args in [
+        &["parse", "--dialect", "core", "--bogus", "SELECT a FROM t"][..],
+        &["check", "--bogus", "SELECT a FROM t"],
+        &["format", "--dialect", "core", "--recover", "SELECT a FROM t"],
+        &["compose", "query_statement", "--bogus"],
+        &["generate", "--bogus"],
+        &["census", "--bogus"],
+    ] {
+        assert_eq!(run(args).status.code(), Some(2), "{args:?}");
+    }
+}
+
+#[test]
+fn extra_positionals_are_usage_errors() {
+    // The last SQL argument used to win silently.
+    let o = run(&["format", "--dialect", "core", "SELECT a FROM t", "SELECT b FROM u"]);
+    assert_eq!(o.status.code(), Some(2), "{}", stdout(&o));
+    assert!(stdout(&o).is_empty(), "{}", stdout(&o));
+    for cmd in ["parse", "check", "lex"] {
+        let o = run(&[cmd, "--dialect", "core", "SELECT a FROM t", "SELECT b FROM u"]);
+        assert_eq!(o.status.code(), Some(2), "{cmd}: {}", stdout(&o));
+    }
+}

@@ -2,7 +2,10 @@
 //! census statistics (used to regenerate the paper's "40 diagrams, >500
 //! features" claim).
 
-use crate::count::{count_configurations, try_count_configurations};
+use crate::count::{
+    count_configurations, count_with_splitting, try_count_configurations, try_count_with_forced,
+    MAX_SPLIT_FEATURES,
+};
 use crate::model::{Constraint, FeatureId, FeatureModel, GroupKind, Optionality};
 
 /// Result of [`analyze`].
@@ -27,7 +30,10 @@ pub fn analyze(model: &FeatureModel) -> ModelAnalysis {
     let mut dead = Vec::new();
     let mut core = Vec::new();
     for (id, _) in model.iter() {
-        let with = count_with_forced(model, id, true);
+        // Forcing a feature only shrinks the set of free constraint
+        // features, so this stays under the cap the total count passed.
+        let with = try_count_with_forced(model, &[(id, true)], MAX_SPLIT_FEATURES)
+            .expect("forcing a feature never adds split features");
         if with == 0 {
             dead.push(id);
         }
@@ -116,7 +122,7 @@ pub fn try_analyze_constraints(
     if all.is_empty() {
         return Some(Vec::new());
     }
-    let total = count_filtered(model, all, None, max_split)?;
+    let total = count_with_splitting(model, all, &[], max_split)?;
     let mut findings = Vec::new();
     for (index, &constraint) in all.iter().enumerate() {
         let rest: Vec<Constraint> = all
@@ -125,7 +131,7 @@ pub fn try_analyze_constraints(
             .filter(|&(j, _)| j != index)
             .map(|(_, &c)| c)
             .collect();
-        let without = count_filtered(model, &rest, None, max_split)?;
+        let without = count_with_splitting(model, &rest, &[], max_split)?;
         if without == total {
             findings.push(ConstraintFinding {
                 index,
@@ -137,8 +143,8 @@ pub fn try_analyze_constraints(
         // The constraint does prune configurations; contradictory if it
         // prunes *all* configurations selecting its source feature.
         let (source, _) = constraint.endpoints();
-        let with_source = count_filtered(model, all, Some((source, true)), max_split)?;
-        let without_source = count_filtered(model, &rest, Some((source, true)), max_split)?;
+        let with_source = count_with_splitting(model, all, &[(source, true)], max_split)?;
+        let without_source = count_with_splitting(model, &rest, &[(source, true)], max_split)?;
         if with_source == 0 && without_source > 0 {
             findings.push(ConstraintFinding {
                 index,
@@ -148,103 +154,6 @@ pub fn try_analyze_constraints(
         }
     }
     Some(findings)
-}
-
-/// Exact configuration count honoring only `constraints` (a subset of the
-/// model's), optionally forcing one feature. `None` past the split cap.
-fn count_filtered(
-    model: &FeatureModel,
-    constraints: &[Constraint],
-    force: Option<(FeatureId, bool)>,
-    max_split: usize,
-) -> Option<u128> {
-    let mut involved: Vec<FeatureId> = constraints
-        .iter()
-        .flat_map(|c| {
-            let (a, b) = c.endpoints();
-            [a, b]
-        })
-        .collect();
-    if let Some((f, _)) = force {
-        involved.push(f);
-    }
-    involved.sort();
-    involved.dedup();
-    if involved.len() > max_split.min(63) {
-        return None;
-    }
-    let mut total = 0u128;
-    for mask in 0u64..(1u64 << involved.len()) {
-        let mut forced: Vec<Option<bool>> = vec![None; model.len()];
-        for (bit, &fid) in involved.iter().enumerate() {
-            forced[fid.index()] = Some(mask & (1 << bit) != 0);
-        }
-        if let Some((f, v)) = force {
-            if forced[f.index()] != Some(v) {
-                continue;
-            }
-        }
-        let consistent = constraints.iter().all(|&c| match c {
-            Constraint::Requires(a, b) => {
-                !(forced[a.index()] == Some(true) && forced[b.index()] == Some(false))
-            }
-            Constraint::Excludes(a, b) => {
-                !(forced[a.index()] == Some(true) && forced[b.index()] == Some(true))
-            }
-        });
-        if !consistent {
-            continue;
-        }
-        total = total.saturating_add(crate::count::count_subtree_forced(model, &forced));
-    }
-    Some(total)
-}
-
-/// Count configurations where `feature` is forced to `value`.
-///
-/// Implemented by adding a synthetic constraint split; reuses the counting
-/// DP via a temporary model clone with an extra `requires`-style forcing.
-pub fn count_with_forced(model: &FeatureModel, feature: FeatureId, value: bool) -> u128 {
-    // Cheap approach: count all configurations, and count those with the
-    // opposite forcing via the constraint-split machinery. We re-implement
-    // the split locally to avoid cloning the model.
-    let involved: Vec<FeatureId> = {
-        let mut s: Vec<FeatureId> = model
-            .constraints()
-            .iter()
-            .flat_map(|c| {
-                let (a, b) = c.endpoints();
-                [a, b]
-            })
-            .collect();
-        s.push(feature);
-        s.sort();
-        s.dedup();
-        s
-    };
-    let mut total = 0u128;
-    for mask in 0u64..(1u64 << involved.len()) {
-        let mut forced: Vec<Option<bool>> = vec![None; model.len()];
-        for (bit, &fid) in involved.iter().enumerate() {
-            forced[fid.index()] = Some(mask & (1 << bit) != 0);
-        }
-        if forced[feature.index()] != Some(value) {
-            continue;
-        }
-        let consistent = model.constraints().iter().all(|&c| match c {
-            Constraint::Requires(a, b) => {
-                !(forced[a.index()] == Some(true) && forced[b.index()] == Some(false))
-            }
-            Constraint::Excludes(a, b) => {
-                !(forced[a.index()] == Some(true) && forced[b.index()] == Some(true))
-            }
-        });
-        if !consistent {
-            continue;
-        }
-        total = total.saturating_add(crate::count::count_subtree_forced(model, &forced));
-    }
-    total
 }
 
 /// Per-diagram statistics for the census table (Experiment T1).
@@ -335,6 +244,24 @@ mod tests {
         assert!(core_names.contains(&"c"));
         assert!(core_names.contains(&"m"));
         assert!(!core_names.contains(&"o"));
+    }
+
+    /// Regression: `m` is mandatory under the optional `p`, so it is in
+    /// every configuration with `p` but not in every configuration. The
+    /// forced count must close `m`'s ancestors, or the "`p` absent" branch
+    /// is counted once per constraint split and `m` looks core.
+    #[test]
+    fn mandatory_child_of_an_optional_parent_is_not_core() {
+        let mut b = ModelBuilder::new("c");
+        let r = b.root();
+        let p = b.optional(r, "p");
+        b.mandatory(p, "m");
+        b.optional(r, "x");
+        b.optional(r, "y");
+        b.requires("x", "y");
+        let m = b.build().unwrap();
+        let core: Vec<_> = analyze(&m).core.iter().map(|&f| m.feature(f).name.as_str()).collect();
+        assert_eq!(core, ["c"]);
     }
 
     #[test]
@@ -478,9 +405,7 @@ mod tests {
         let m = b.build().unwrap();
         let total = count_configurations(&m);
         let a = m.id_of("a").unwrap();
-        assert_eq!(
-            count_with_forced(&m, a, true) + count_with_forced(&m, a, false),
-            total
-        );
+        let forced = |v| try_count_with_forced(&m, &[(a, v)], 20).unwrap();
+        assert_eq!(forced(true) + forced(false), total);
     }
 }

@@ -92,16 +92,10 @@ fn count_subtree(model: &FeatureModel, f: FeatureId, forced: &Forced) -> u128 {
     total
 }
 
-/// Count configurations of the whole model under a forcing vector,
-/// ignoring cross-tree constraints (callers handle those by splitting).
-pub(crate) fn count_subtree_forced(model: &FeatureModel, forced: &Forced) -> u128 {
-    count_subtree(model, FeatureId::ROOT, forced)
-}
-
-/// `true` if the assignment over constraint features is internally
-/// consistent with every constraint whose endpoints are both assigned.
-fn assignment_consistent(model: &FeatureModel, forced: &Forced) -> bool {
-    model.constraints().iter().all(|&c| match c {
+/// `true` if the assignment is internally consistent with every one of
+/// `constraints` whose endpoints are both assigned.
+fn assignment_consistent(constraints: &[Constraint], forced: &Forced) -> bool {
+    constraints.iter().all(|&c| match c {
         Constraint::Requires(a, b) => {
             !(forced[a.index()] == Some(true) && forced[b.index()] == Some(false))
         }
@@ -129,8 +123,7 @@ pub fn count_configurations(model: &FeatureModel) -> u128 {
 /// `max_split` distinct features appear in constraints (2^n assignments
 /// would be required).
 pub fn try_count_configurations(model: &FeatureModel, max_split: usize) -> Option<u128> {
-    let base: Forced = vec![None; model.len()];
-    count_with_splitting(model, &base, max_split)
+    count_with_splitting(model, model.constraints(), &[], max_split)
 }
 
 /// Exact counting with extra forced feature assignments (e.g. "feature `a`
@@ -145,6 +138,21 @@ pub fn try_count_with_forced(
     assignments: &[(FeatureId, bool)],
     max_split: usize,
 ) -> Option<u128> {
+    count_with_splitting(model, model.constraints(), assignments, max_split)
+}
+
+/// Shared core of every exact count: configurations of the tree honoring
+/// only `constraints` (the model's own, or a subset of them when an
+/// analysis drops one) with `assignments` forced. Closes the assignment
+/// upward, then splits over the constraint-involved features it leaves
+/// free. `None` when more than `max_split` (at most
+/// [`MAX_SPLIT_FEATURES`]) would need splitting.
+pub(crate) fn count_with_splitting(
+    model: &FeatureModel,
+    constraints: &[Constraint],
+    assignments: &[(FeatureId, bool)],
+    max_split: usize,
+) -> Option<u128> {
     let mut base: Forced = vec![None; model.len()];
     for &(f, v) in assignments {
         match base[f.index()] {
@@ -152,19 +160,11 @@ pub fn try_count_with_forced(
             _ => base[f.index()] = Some(v),
         }
     }
-    count_with_splitting(model, &base, max_split)
-}
-
-/// Shared core of the counting entry points: close the base assignment
-/// upward, then split over constraint-involved features.
-fn count_with_splitting(model: &FeatureModel, base: &Forced, max_split: usize) -> Option<u128> {
-    let mut base = base.clone();
     if !propagate_selected_up(model, &mut base) {
         return Some(0);
     }
 
-    let involved: BTreeSet<FeatureId> = model
-        .constraints()
+    let involved: BTreeSet<FeatureId> = constraints
         .iter()
         .flat_map(|c| {
             let (a, b) = c.endpoints();
@@ -180,7 +180,7 @@ fn count_with_splitting(model: &FeatureModel, base: &Forced, max_split: usize) -
     }
 
     if involved.is_empty() {
-        if !assignment_consistent(model, &base) {
+        if !assignment_consistent(constraints, &base) {
             return Some(0);
         }
         return Some(count_subtree(model, FeatureId::ROOT, &base));
@@ -195,7 +195,7 @@ fn count_with_splitting(model: &FeatureModel, base: &Forced, max_split: usize) -
         if !propagate_selected_up(model, &mut forced) {
             continue;
         }
-        if !assignment_consistent(model, &forced) {
+        if !assignment_consistent(constraints, &forced) {
             continue;
         }
         total = total.saturating_add(count_subtree(model, FeatureId::ROOT, &forced));

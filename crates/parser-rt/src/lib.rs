@@ -45,6 +45,5 @@ pub use errors::ParseError;
 pub use events::{Event, ERROR_NODE};
 pub use session::{
     EditError, EditOutcome, EditStats, LazyTree, ParseOutcome, ParseSession, ParsedStats,
-    ResilientStats,
 };
 pub use tree::{Sym, SyntaxElement, SyntaxNode, SyntaxToken, SyntaxTree, TokenInterner};

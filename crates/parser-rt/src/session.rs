@@ -1522,18 +1522,6 @@ pub struct ParsedStats {
     pub nodes: usize,
 }
 
-/// Size measurements and diagnostics of one resiliently parsed statement
-/// in a batch.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ResilientStats {
-    /// Scanned (non-skip) tokens covered by the tree.
-    pub tokens: usize,
-    /// Tree nodes in the seed counting convention (rules + token leaves).
-    pub nodes: usize,
-    /// Diagnostics recovered past, in source order.
-    pub errors: Vec<ParseError>,
-}
-
 /// Render a panic payload for diagnostics.
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -1609,24 +1597,6 @@ impl Parser {
             .collect()
     }
 
-    /// Resiliently parse a batch of statements with one recycled session
-    /// (see [`ParseSession::parse_resilient`]), returning per-statement
-    /// measurements and diagnostics in input order.
-    pub fn parse_many_resilient(&self, inputs: &[&str]) -> Vec<ResilientStats> {
-        let mut session = self.session();
-        inputs
-            .iter()
-            .map(|input| {
-                let outcome = session.parse_resilient(input);
-                ResilientStats {
-                    tokens: outcome.tree.tokens().len(),
-                    nodes: outcome.tree.node_count(),
-                    errors: outcome.errors,
-                }
-            })
-            .collect()
-    }
-
     /// Parse a batch across `threads` scoped worker threads (each with its
     /// own recycled session), returning outcomes in input order. Falls
     /// back to the sequential driver for trivial thread counts or batches.
@@ -1649,35 +1619,6 @@ impl Parser {
             |shard, msg| {
                 let err = worker_panic_error(msg);
                 shard.iter().map(|_| Err(err.clone())).collect()
-            },
-        )
-    }
-
-    /// [`Parser::parse_many_resilient`] sharded across `threads` scoped
-    /// workers, with the same panic containment as
-    /// [`Parser::parse_many_parallel`].
-    pub fn parse_many_parallel_resilient(
-        &self,
-        inputs: &[&str],
-        threads: usize,
-    ) -> Vec<ResilientStats> {
-        let threads = threads.min(inputs.len());
-        if threads <= 1 {
-            return self.parse_many_resilient(inputs);
-        }
-        run_sharded(
-            inputs,
-            threads,
-            |shard| self.parse_many_resilient(shard),
-            |shard, msg| {
-                shard
-                    .iter()
-                    .map(|_| ResilientStats {
-                        tokens: 0,
-                        nodes: 0,
-                        errors: vec![worker_panic_error(msg)],
-                    })
-                    .collect()
             },
         )
     }
@@ -1947,26 +1888,6 @@ mod tests {
         let counters = s.counters();
         assert_eq!(counters.recoveries, 1);
         assert!(counters.skipped_tokens >= 2, "{counters:?}");
-    }
-
-    #[test]
-    fn parse_many_resilient_matches_single_statement_outcomes() {
-        let p = script_parser(EngineMode::Backtracking);
-        let out = p.parse_many_resilient(&[
-            "SELECT a FROM t",
-            "SELECT FROM u",
-            "SELECT b, c FROM v",
-        ]);
-        assert_eq!(out.len(), 3);
-        assert!(out[0].errors.is_empty());
-        assert_eq!(out[1].errors.len(), 1);
-        assert!(out[2].errors.is_empty());
-        assert_eq!(out[0].tokens, 4);
-        let par = p.parse_many_parallel_resilient(
-            &["SELECT a FROM t", "SELECT FROM u", "SELECT b, c FROM v"],
-            2,
-        );
-        assert_eq!(out, par);
     }
 
     #[test]

@@ -7,7 +7,11 @@
 //! Figure 1 contains the Table Expression node that is also Figure 2's
 //! concept). The per-diagram table is printed for EXPERIMENTS.md.
 
-use sqlweave::feature_model::analysis::census;
+use sqlweave::feature_model::analysis::{
+    analyze, census, try_analyze_constraints, ConstraintDefect,
+};
+use sqlweave::feature_model::count::{enumerate_configurations, try_count_configurations};
+use sqlweave::feature_model::FeatureId;
 use sqlweave::sql::{catalog, DIAGRAMS};
 
 #[test]
@@ -100,5 +104,64 @@ fn registry_covers_syntax_features() {
     assert!(
         with_grammar >= 120,
         "only {with_grammar} features carry sub-grammars"
+    );
+}
+
+#[test]
+fn dead_and_core_features_match_brute_force_enumeration() {
+    const LIMIT: usize = 5_000;
+    let mut checked = 0;
+    for model in catalog().diagrams() {
+        let Some(count) = try_count_configurations(&model, 20) else {
+            continue;
+        };
+        if count > LIMIT as u128 {
+            continue;
+        }
+        let configs = enumerate_configurations(&model, LIMIT);
+        assert_eq!(configs.len() as u128, count, "diagram `{}`", model.name());
+        let in_configs = |id: FeatureId| {
+            let name = &model.feature(id).name;
+            configs.iter().filter(|c| c.contains(name)).count()
+        };
+        let ids: Vec<FeatureId> = model.iter().map(|(id, _)| id).collect();
+        let dead: Vec<FeatureId> = ids.iter().copied().filter(|&f| in_configs(f) == 0).collect();
+        let core: Vec<FeatureId> = ids
+            .iter()
+            .copied()
+            .filter(|&f| in_configs(f) == configs.len())
+            .collect();
+        let a = analyze(&model);
+        assert_eq!(a.configurations, count, "diagram `{}`", model.name());
+        assert_eq!(a.dead, dead, "dead features of `{}`", model.name());
+        assert_eq!(a.core, core, "core features of `{}`", model.name());
+        checked += 1;
+    }
+    assert!(checked >= 20, "only {checked} diagrams are small enough to enumerate");
+}
+
+#[test]
+fn constraint_analysis_keeps_constraints_that_prune() {
+    let cat = catalog();
+    // `window_order requires order_by`: dropping `order_by` from a valid
+    // configuration that has `window_order` violates only this constraint,
+    // so it prunes configurations and is not redundant.
+    let qe = cat.diagram("query_expression").unwrap();
+    let findings = try_analyze_constraints(&qe, 20).unwrap();
+    assert!(
+        findings.iter().all(|f| f.index != 3),
+        "{:?}",
+        findings.iter().map(|f| f.describe(&qe)).collect::<Vec<_>>()
+    );
+    // `quantified_comparison requires comparison_predicate` is implied by
+    // the tree and stays a redundancy note.
+    let predicates = cat.diagram("predicates").unwrap();
+    let findings = try_analyze_constraints(&predicates, 20).unwrap();
+    assert!(
+        findings
+            .iter()
+            .any(|f| f.index == 0 && f.defect == ConstraintDefect::Redundant),
+        "{:?}",
+        findings.iter().map(|f| f.describe(&predicates)).collect::<Vec<_>>()
     );
 }
