@@ -2,9 +2,9 @@
 //! the event-driven green core, isolating what tree materialization costs:
 //!
 //! * `seed_cst` — the preserved pre-event engines (`parse_reference`),
-//!   which allocate a `CstNode` (plus name/lexeme strings) per symbol and
+//!   which allocate a node with its own child vector per expansion and
 //!   throw away whole subtrees on backtracking.
-//! * `event_cst` — events → arena tree → owned CST, the drop-in path.
+//! * `event_cst` — events → arena tree → owned copy (`Parser::parse`).
 //! * `event_tree` — a recycled `ParseSession` yielding the borrowed arena
 //!   tree; steady-state allocation-free.
 //! * `batch` — `parse_many` over the whole corpus in one call.

@@ -5,10 +5,10 @@
 //! allocation ablation of Experiment B4 is reproducible from one command:
 //!
 //! * `seed_cst` — [`Parser::parse_reference`], the pre-event engines that
-//!   build a [`sqlweave_parser_rt::CstNode`] per grammar symbol (baseline,
-//!   `speedup_vs_seed` = 1.0 by construction).
+//!   build a recursive node with its own child vector per expansion
+//!   (baseline, `speedup_vs_seed` = 1.0 by construction).
 //! * `event_cst` — [`Parser::parse`]: event stream → arena tree → owned
-//!   CST conversion. What drop-in callers of the seed API get today.
+//!   copy ([`sqlweave_parser_rt::SyntaxTree::to_cst`]).
 //! * `event_tree` — a recycled [`sqlweave_parser_rt::ParseSession`]
 //!   borrowing the arena-backed tree; the intended hot-path API.
 //! * `batch` — [`Parser::parse_many`] over the whole corpus per iteration.
@@ -44,13 +44,12 @@
 //! costs when nothing goes wrong).
 //!
 //! Each pair finally carries a **sema section** (Experiment B8): the
-//! statements/sec of the full parse → CST → name-resolution pipeline
-//! ([`sqlweave_sema::analyze_script`] with the dialect's
-//! [`sqlweave_sema::ResolverCaps`]) over the same accepted corpus, plus
-//! `overhead_vs_parse` — the sema-path/`event_tree` time ratio, i.e. what
-//! semantic analysis (including the owned-CST conversion it needs) costs
-//! on top of parsing alone — and the deterministic count of column-lineage
-//! edges the corpus produces.
+//! statements/sec of the full parse → name-resolution pipeline
+//! ([`sqlweave_sema::analyze_script`] over the session's tree, with the
+//! dialect's [`sqlweave_sema::ResolverCaps`]) over the same accepted
+//! corpus, plus `overhead_vs_parse` — the sema-path/`event_tree` time
+//! ratio, i.e. what semantic analysis costs on top of parsing alone — and
+//! the deterministic count of column-lineage edges the corpus produces.
 //!
 //! Finally, the document can carry a top-level **`incremental` section**
 //! (Experiment B11, `sqlweave bench --edits N`): keystroke latency of
@@ -137,11 +136,10 @@ pub struct RecoveryMeasurement {
 #[derive(Debug, Clone)]
 pub struct SemaMeasurement {
     /// Corpus statements per second through the full parse + resolve
-    /// pipeline (session parse → owned CST → name resolution + lineage).
+    /// pipeline (session parse → name resolution + lineage).
     pub statements_per_sec: f64,
     /// Sema-path/`event_tree` time ratio on identical successful work —
-    /// what resolution (and the CST conversion it requires) costs on top
-    /// of parsing alone (1.0 = free).
+    /// what resolution costs on top of parsing alone (1.0 = free).
     pub overhead_vs_parse: f64,
     /// Column-lineage edges the corpus produces. Deterministic for a
     /// given dialect (the corpus and the resolver are both deterministic).
@@ -655,7 +653,7 @@ fn bench_parser(p: &Parser, dialect: Dialect, mode: EngineMode, iters: usize) ->
         clean_overhead: resilient_clean_secs.max(1e-9) / event_tree_secs.max(1e-9),
     };
 
-    // Sema (B8): the full parse → CST → resolve pipeline over the same
+    // Sema (B8): the full parse → resolve pipeline over the same
     // accepted statements, so `overhead_vs_parse` against `event_tree`
     // compares identical successful parses.
     let caps = sqlweave_sema::ResolverCaps::for_dialect(dialect);
@@ -663,7 +661,7 @@ fn bench_parser(p: &Parser, dialect: Dialect, mode: EngineMode, iters: usize) ->
     let sema_secs = time(iters, || {
         for s in &stmts {
             let tree = sema_session.parse_tree(s).expect("accepted statement parses");
-            let a = sqlweave_sema::analyze_script(s, &tree.to_cst(), &caps, None);
+            let a = sqlweave_sema::analyze_script(s, &tree, &caps, None);
             std::hint::black_box(a.statements.len());
         }
     });
@@ -671,7 +669,7 @@ fn bench_parser(p: &Parser, dialect: Dialect, mode: EngineMode, iters: usize) ->
         .iter()
         .map(|s| {
             let tree = sema_session.parse_tree(s).expect("accepted statement parses");
-            let a = sqlweave_sema::analyze_script(s, &tree.to_cst(), &caps, None);
+            let a = sqlweave_sema::analyze_script(s, &tree, &caps, None);
             a.statements.iter().map(|st| st.columns.len()).sum::<usize>()
         })
         .sum();

@@ -928,7 +928,7 @@ fn cmd_parse(args: &[String], verbose: bool) -> CmdResult {
     if verbose {
         println!("-- concrete syntax tree --");
         print!("{}", tree.pretty());
-        match sqlweave_sql_ast::lower::lower_tree(&tree) {
+        match sqlweave_sql_ast::lower::lower_script(&tree) {
             Ok(stmts) => {
                 println!("-- printed from the AST --");
                 for s in &stmts {
@@ -1016,7 +1016,7 @@ fn cmd_format(args: &[String]) -> CmdResult {
     let tree = session
         .parse_tree(sql)
         .map_err(|e| format!("rejected by `{}`: {e}", dialect.name()))?;
-    let stmts = sqlweave_sql_ast::lower::lower_tree(&tree)
+    let stmts = sqlweave_sql_ast::lower::lower_script(&tree)
         .map_err(|e| format!("lowering failed: {e}"))?;
     for s in &stmts {
         println!("{};", sqlweave_sql_ast::print::statement(s));

@@ -20,14 +20,14 @@
 //! so the Group/Opt/Star re-entry pattern — where an enclosing alternative
 //! re-probes the same nonterminal at the same position — fails in O(1)
 //! instead of re-deriving (and re-discarding) the whole subtree.
-//! Successful parses are materialized into a [`crate::tree::SyntaxTree`]
-//! by [`crate::session::ParseSession`]; [`Parser::parse`] keeps the seed
-//! [`CstNode`] API as a thin conversion on top.
+//! Successful parses are materialized into a [`SyntaxTree`] by
+//! [`crate::session::ParseSession`]; [`Parser::parse`] returns an owned
+//! copy of it.
 
-use crate::cst::CstNode;
 use crate::errors::ParseError;
-use crate::events::{Event, ERROR_NODE};
+use crate::events::Event;
 use crate::session::{ParseSession, SessionBuffers};
+use crate::tree::{Names, SyntaxTree};
 use sqlweave_grammar::analysis::{analyze, AnalysisError, GrammarAnalysis, EOF};
 use sqlweave_grammar::ir::{Grammar, Term};
 use sqlweave_grammar::lookahead::{analyze_lookahead, recovery_sync_set, Outcome, K_MAX};
@@ -35,7 +35,7 @@ use sqlweave_lexgen::tokenset::{TokenSet, TokenSetError};
 use sqlweave_lexgen::{LineIndex, Scanner, Token};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// How the engine treats a failed choice (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -208,11 +208,9 @@ pub(crate) struct CAlt {
     pub(crate) seq: Vec<CTerm>,
     pub(crate) first: TokBits,
     pub(crate) nullable: bool,
-    pub(crate) label: Option<String>,
 }
 
 pub(crate) struct CProd {
-    pub(crate) name: String,
     pub(crate) alts: Vec<CAlt>,
     pub(crate) decision: u32,
 }
@@ -260,6 +258,9 @@ pub struct Parser {
     sync_bits: TokBits,
     /// FOLLOW bitset per compiled production (recovery stop set).
     cfollow: Vec<TokBits>,
+    /// Production, label and token names the parser's trees resolve ids
+    /// against.
+    pub(crate) names: Arc<Names>,
     /// Recycled [`SessionBuffers`] backing the [`Parser::parse`] and
     /// [`Parser::parse_resilient`] conveniences, so repeated one-shot
     /// calls reach the session path's zero-allocation steady state
@@ -349,10 +350,12 @@ impl Parser {
         // production (per-production stop points).
         let sync_bits = compiler.bits_of(&recovery_sync_set(&analysis));
         let empty = BTreeSet::new();
-        let cfollow = cprods
+        let cfollow = grammar
+            .productions()
             .iter()
             .map(|p| compiler.bits_of(analysis.follow.get(&p.name).unwrap_or(&empty)))
             .collect();
+        let names = Arc::new(Names::new(&grammar, &scanner));
 
         Ok(Parser {
             grammar,
@@ -366,6 +369,7 @@ impl Parser {
             lookahead_k: K_MAX as u8,
             sync_bits,
             cfollow,
+            names,
             session_pool: Mutex::new(Vec::new()),
         })
     }
@@ -448,16 +452,16 @@ impl Parser {
         }
     }
 
-    /// Parse `input` to a CST, or produce the farthest-failure error.
+    /// Parse `input` to an owned tree, or produce the farthest-failure
+    /// error.
     ///
-    /// This is the seed API, kept as a thin conversion: the parse runs on
-    /// the event core (a [`ParseSession`] drawn from the parser's internal
-    /// buffer pool, so repeated calls allocate like a recycled session)
-    /// and the resulting [`crate::tree::SyntaxTree`] is materialized into
-    /// owning [`CstNode`]s. Callers that can hold the borrow should still
-    /// prefer [`Parser::session`] + [`ParseSession::parse_tree`] — it
-    /// skips the owning conversion entirely.
-    pub fn parse(&self, input: &str) -> Result<CstNode, ParseError> {
+    /// The parse runs on a [`ParseSession`] drawn from the parser's
+    /// internal buffer pool (so repeated calls allocate like a recycled
+    /// session) and the tree is copied out with [`SyntaxTree::to_cst`].
+    /// Callers that can hold the borrow should still prefer
+    /// [`Parser::session`] + [`ParseSession::parse_tree`] — it skips the
+    /// copy.
+    pub fn parse(&self, input: &str) -> Result<SyntaxTree<'static>, ParseError> {
         let mut session = self.pooled_session();
         let result = match session.parse_tree(input) {
             Ok(tree) => Ok(tree.to_cst()),
@@ -478,7 +482,7 @@ impl Parser {
     /// Like [`Parser::parse`] this is a thin convenience over a pooled
     /// session; batch callers should hold a [`Parser::session`] and use
     /// [`ParseSession::parse_resilient`] directly.
-    pub fn parse_resilient(&self, input: &str) -> (CstNode, Vec<ParseError>) {
+    pub fn parse_resilient(&self, input: &str) -> (SyntaxTree<'static>, Vec<ParseError>) {
         let mut session = self.pooled_session();
         let result = {
             let outcome = session.parse_resilient(input);
@@ -520,24 +524,6 @@ impl Parser {
     /// memo bitmap, and tree arena, recycled across parses.
     pub fn session(&self) -> ParseSession<'_> {
         ParseSession::new(self)
-    }
-
-    /// Resolve a compiled production id (as found in [`Event::Open`]) to
-    /// its production name.
-    pub(crate) fn prod_name(&self, prod: u32) -> &str {
-        if prod == ERROR_NODE {
-            return "error";
-        }
-        &self.cprods[prod as usize].name
-    }
-
-    /// Resolve a compiled `(production, alternative)` pair to the
-    /// alternative's label.
-    pub(crate) fn alt_label(&self, prod: u32, alt: u32) -> Option<&str> {
-        if prod == ERROR_NODE {
-            return None;
-        }
-        self.cprods[prod as usize].alts[alt as usize].label.as_deref()
     }
 
     pub(crate) fn error_from(
@@ -889,11 +875,9 @@ impl Compiler<'_> {
                     seq: self.compile_seq(&p.name, &alt.seq, &index, &mut counter),
                     first,
                     nullable,
-                    label: alt.label.clone(),
                 });
             }
             prods.push(CProd {
-                name: p.name.clone(),
                 alts,
                 decision: self
                     .decision_of
@@ -1175,12 +1159,13 @@ mod tests {
     fn backtracking_accepts_and_shapes() {
         let p = select_parser(EngineMode::Backtracking);
         let cst = p.parse("SELECT a, b FROM t WHERE a = 1").unwrap();
-        assert_eq!(cst.name(), "query");
-        assert_eq!(cst.label(), Some("select"));
-        let sl = cst.child("select_list").unwrap();
+        let root = cst.root();
+        assert_eq!(root.name(), "query");
+        assert_eq!(root.label(), Some("select"));
+        let sl = root.child("select_list").unwrap();
         assert_eq!(sl.label(), Some("columns"));
-        assert_eq!(sl.children_named("IDENT").count(), 2);
-        assert!(cst.child("where_clause").is_some());
+        assert_eq!(sl.children().filter(|c| c.name() == "IDENT").count(), 2);
+        assert!(root.child("where_clause").is_some());
     }
 
     #[test]
@@ -1284,8 +1269,8 @@ mod tests {
         let g = parse_grammar("grammar g; a : X Y #xy | X Z #xz ;").unwrap();
         let t = parse_tokens("tokens t; X = kw; Y = kw; Z = kw; WS = skip / +/;").unwrap();
         let p = Parser::new(g, &t).unwrap();
-        assert_eq!(p.parse("X Y").unwrap().label(), Some("xy"));
-        assert_eq!(p.parse("X Z").unwrap().label(), Some("xz"));
+        assert_eq!(p.parse("X Y").unwrap().root().label(), Some("xy"));
+        assert_eq!(p.parse("X Z").unwrap().root().label(), Some("xz"));
         assert_eq!(p.stats().conflicts, 1);
     }
 
@@ -1437,11 +1422,11 @@ mod tests {
         let p = Parser::new(g, &t).unwrap();
         assert_eq!(p.decision_tables(), 1);
         let mut s = p.session();
-        assert_eq!(s.parse_tree("X Z").unwrap().to_cst().label(), Some("xz"));
+        assert_eq!(s.parse_tree("X Z").unwrap().root().label(), Some("xz"));
         let stats = s.counters();
         assert!(stats.decision_hits >= 1, "stats: {stats:?}");
         assert_eq!(stats.backtracks, 0, "stats: {stats:?}");
-        assert_eq!(s.parse_tree("X Y").unwrap().to_cst().label(), Some("xy"));
+        assert_eq!(s.parse_tree("X Y").unwrap().root().label(), Some("xy"));
         assert_eq!(s.counters().backtracks, 0);
     }
 
@@ -1452,7 +1437,7 @@ mod tests {
         let p = Parser::new(g, &t).unwrap().with_lookahead_k(1);
         assert_eq!(p.lookahead_k(), 1);
         let mut s = p.session();
-        assert_eq!(s.parse_tree("X Z").unwrap().to_cst().label(), Some("xz"));
+        assert_eq!(s.parse_tree("X Z").unwrap().root().label(), Some("xz"));
         let stats = s.counters();
         assert_eq!(stats.decision_hits, 0, "stats: {stats:?}");
         assert!(stats.backtracks >= 1, "stats: {stats:?}");

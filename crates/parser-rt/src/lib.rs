@@ -14,9 +14,10 @@
 //! The engine emits flat [`events::Event`] streams instead of building
 //! nodes (backtracking is a buffer truncation), which a separate builder
 //! materializes into an arena-backed [`tree::SyntaxTree`] with zero-copy
-//! token text. The seed [`cst::CstNode`] API survives as a conversion
-//! ([`tree::SyntaxTree::to_cst`]). [`session::ParseSession`] recycles every
-//! buffer across statements; [`Parser::parse_many`] and
+//! token text; [`tree::SyntaxTree::to_cst`] copies it into an owned tree
+//! with a handful of allocations. Semantic layers walk either form
+//! through the same [`SyntaxNode`] cursors. [`session::ParseSession`]
+//! recycles every buffer across statements; [`Parser::parse_many`] and
 //! [`Parser::parse_many_parallel`] batch over it.
 //!
 //! Beyond the strict single-error contract, [`Parser::parse_resilient`]
@@ -31,7 +32,6 @@
 //! "use ANTLR to generate parser code" step.
 
 pub mod codegen;
-pub mod cst;
 pub mod engine;
 pub mod errors;
 pub mod events;
@@ -39,7 +39,6 @@ pub mod reference;
 pub mod session;
 pub mod tree;
 
-pub use cst::CstNode;
 pub use engine::{EngineMode, Parser, ParserStats, RunCounters};
 pub use errors::ParseError;
 pub use events::{Event, ERROR_NODE};

@@ -1,16 +1,16 @@
 //! The seed parse engine, kept verbatim as a differential oracle.
 //!
-//! Before the green-tree rework, the engine materialized [`CstNode`]s
-//! *while* parsing: every token allocated its kind name and lexeme, every
-//! expansion cloned its production name and label, and abandoning a
-//! speculative alternative dropped a fully built subtree. This module
-//! preserves that implementation — same traversal order, same
+//! Before the green-tree rework, the engine built a recursive tree
+//! *while* parsing: every expansion allocated its own child vector, and
+//! abandoning a speculative alternative dropped a fully built subtree.
+//! This module preserves that implementation — same traversal order, same
 //! farthest-failure notes, no memoization, no dispatch tables when
-//! speculating — so that:
+//! speculating — and flattens its recursive result into an owned
+//! [`SyntaxTree`] at the end, so that:
 //!
-//! * the differential suites can assert the event-built
-//!   [`crate::tree::SyntaxTree`] converts to the *identical* `CstNode` the
-//!   seed engine produced, for every statement;
+//! * the differential suites can assert the event-built [`SyntaxTree`] is
+//!   structurally *identical* to the tree the seed engine produced, for
+//!   every statement;
 //! * error-message regression tests can prove the memo table and the
 //!   note-recording fast path changed no reported diagnostics;
 //! * the allocation-ablation benchmark (Experiment B4) has an honest
@@ -23,17 +23,37 @@
 //! It is not a supported parsing API; use [`Parser::parse`] or
 //! [`crate::session::ParseSession`].
 
-use crate::cst::CstNode;
 use crate::engine::{CTerm, EngineMode, Notes, Parser, TokBits, NO_DECISION};
 use crate::errors::ParseError;
-use sqlweave_lexgen::Token;
+use crate::events::Event;
+use crate::tree::{SyntaxTree, TreeBuffers};
 use std::collections::BTreeSet;
 
-/// Seed-engine context: token stream plus farthest-failure tracking.
+/// The seed engine's recursive tree, by production, alternative and token
+/// index.
+enum RefNode {
+    Rule { prod: u32, alt: u32, children: Vec<RefNode> },
+    Token(u32),
+}
+
+impl RefNode {
+    fn flatten(&self, events: &mut Vec<Event>) {
+        match self {
+            RefNode::Rule { prod, alt, children } => {
+                events.push(Event::Open { prod: *prod, alt: *alt });
+                for c in children {
+                    c.flatten(events);
+                }
+                events.push(Event::Close);
+            }
+            RefNode::Token(index) => events.push(Event::Token { index: *index }),
+        }
+    }
+}
+
+/// Seed-engine context: token kinds plus farthest-failure tracking.
 struct RefCtx<'a> {
-    toks: &'a [Token],
     kind_ids: Vec<u32>,
-    input: &'a str,
     parser: &'a Parser,
     notes: Notes,
     /// Commit to every choice ([`EngineMode::Ll1Table`]).
@@ -49,24 +69,14 @@ impl RefCtx<'_> {
             .then(|| self.parser.dispatch(&self.kind_ids, decision, pos))
             .flatten()
     }
-
-    fn token_node(&self, pos: usize) -> CstNode {
-        let t = &self.toks[pos];
-        CstNode::Token {
-            kind: self.parser.scanner().name(t.kind).to_string(),
-            text: t.text(self.input).to_string(),
-            start: t.start,
-            end: t.end,
-        }
-    }
 }
 
 impl Parser {
-    /// Parse with the seed (pre-event) implementation: direct per-node CST
-    /// construction, no failure memo. Kept for differential testing and
-    /// the allocation-ablation benchmark; behaviorally identical to
+    /// Parse with the seed (pre-event) implementation: direct per-node
+    /// tree construction, no failure memo. Kept for differential testing
+    /// and the allocation-ablation benchmark; behaviorally identical to
     /// [`Parser::parse`] in either engine mode.
-    pub fn parse_reference(&self, input: &str) -> Result<CstNode, ParseError> {
+    pub fn parse_reference(&self, input: &str) -> Result<SyntaxTree<'static>, ParseError> {
         let toks = self.scanner.scan(input).map_err(|e| ParseError {
             at: e.at,
             line: e.line,
@@ -77,15 +87,19 @@ impl Parser {
         })?;
         let kind_ids: Vec<u32> = toks.iter().map(|t| t.kind.0).collect();
         let mut ctx = RefCtx {
-            toks: &toks,
             kind_ids,
-            input,
             parser: self,
             notes: Notes::new(self.n_tokens),
             predict: self.mode() == EngineMode::Ll1Table,
         };
         match self.ref_bt_nt(&mut ctx, self.cstart, 0) {
-            Ok((node, next)) if next == toks.len() => Ok(node),
+            Ok((node, next)) if next == toks.len() => {
+                let mut events = Vec::new();
+                node.flatten(&mut events);
+                let mut buffers = TreeBuffers::default();
+                let root = buffers.build(&events);
+                Ok(SyntaxTree::borrowed(self, input, &toks, &buffers, root).to_cst())
+            }
             Ok((_, next)) => {
                 ctx.notes.note_eof(next);
                 Err(self.error_from(input, &toks, &ctx.notes))
@@ -94,8 +108,8 @@ impl Parser {
         }
     }
 
-    fn ref_bt_nt(&self, ctx: &mut RefCtx<'_>, prod: u32, pos: usize) -> Result<(CstNode, usize), ()> {
-        let prod = &self.cprods[prod as usize];
+    fn ref_bt_nt(&self, ctx: &mut RefCtx<'_>, id: u32, pos: usize) -> Result<(RefNode, usize), ()> {
+        let prod = &self.cprods[id as usize];
         let la = ctx.kind_ids.get(pos).copied();
         let chosen = ctx.dispatch(prod.decision, pos);
         for (ai, alt) in prod.alts.iter().enumerate() {
@@ -114,7 +128,7 @@ impl Parser {
             let mut children = Vec::new();
             match self.ref_bt_seq(ctx, &alt.seq, pos, &mut children) {
                 Ok(next) => {
-                    return Ok((CstNode::rule(&prod.name, alt.label.clone(), children), next));
+                    return Ok((RefNode::Rule { prod: id, alt: ai as u32, children }, next));
                 }
                 Err(()) if ctx.predict => return Err(()),
                 Err(()) => {}
@@ -128,7 +142,7 @@ impl Parser {
         ctx: &mut RefCtx<'_>,
         seq: &[CTerm],
         mut pos: usize,
-        children: &mut Vec<CstNode>,
+        children: &mut Vec<RefNode>,
     ) -> Result<usize, ()> {
         for term in seq {
             pos = self.ref_bt_term(ctx, term, pos, children)?;
@@ -144,7 +158,7 @@ impl Parser {
         first: &TokBits,
         decision: u32,
         mut pos: usize,
-        children: &mut Vec<CstNode>,
+        children: &mut Vec<RefNode>,
     ) -> Result<usize, ()> {
         loop {
             match ctx.kind_ids.get(pos) {
@@ -177,12 +191,12 @@ impl Parser {
         ctx: &mut RefCtx<'_>,
         term: &CTerm,
         pos: usize,
-        children: &mut Vec<CstNode>,
+        children: &mut Vec<RefNode>,
     ) -> Result<usize, ()> {
         match term {
             CTerm::Tok(kind) => match ctx.kind_ids.get(pos) {
                 Some(k) if k == kind => {
-                    children.push(ctx.token_node(pos));
+                    children.push(RefNode::Token(pos as u32));
                     Ok(pos + 1)
                 }
                 _ => {

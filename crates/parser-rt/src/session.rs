@@ -675,14 +675,7 @@ impl<'p> ParseSession<'p> {
         match self.run_strict(0, n) {
             Ok(next) if next == n => {
                 let root = self.tree.build(&self.events);
-                Ok(SyntaxTree {
-                    parser,
-                    input,
-                    toks: &self.toks,
-                    nodes: &self.tree.nodes,
-                    elems: &self.tree.elems,
-                    root,
-                })
+                Ok(SyntaxTree::borrowed(parser, input, &self.toks, &self.tree, root))
             }
             Ok(next) => {
                 self.notes.note_eof(next);
@@ -938,14 +931,7 @@ impl<'p> ParseSession<'p> {
         errors.sort_by_key(|e| e.at);
         let tree_root = self.tree.build(&self.events);
         ParseOutcome {
-            tree: SyntaxTree {
-                parser,
-                input,
-                toks: &self.toks,
-                nodes: &self.tree.nodes,
-                elems: &self.tree.elems,
-                root: tree_root,
-            },
+            tree: SyntaxTree::borrowed(parser, input, &self.toks, &self.tree, tree_root),
             errors,
         }
     }
@@ -1174,14 +1160,7 @@ impl<'p> ParseSession<'p> {
             );
             doc.tree_valid = true;
         }
-        SyntaxTree {
-            parser,
-            input: &doc.text,
-            toks: &doc.toks,
-            nodes: &tree.nodes,
-            elems: &tree.elems,
-            root: doc.tree_root,
-        }
+        SyntaxTree::borrowed(parser, &doc.text, &doc.toks, tree, doc.tree_root)
     }
 
     /// The current document state as an eager [`ParseOutcome`] (tree
@@ -1761,7 +1740,7 @@ mod tests {
 
     /// Count how many times each token index appears in the tree.
     fn token_coverage(tree: &SyntaxTree<'_>) -> Vec<usize> {
-        fn walk(node: crate::tree::SyntaxNode<'_, '_>, seen: &mut Vec<usize>) {
+        fn walk(node: crate::tree::SyntaxNode<'_>, seen: &mut Vec<usize>) {
             for el in node.children() {
                 match el {
                     crate::tree::SyntaxElement::Token(t) => seen[t.index()] += 1,
@@ -1937,7 +1916,7 @@ mod tests {
     // ---------- incremental editing ----------
 
     /// Snapshot an outcome into owned data so two sessions can be compared.
-    fn snapshot(outcome: &ParseOutcome<'_>) -> (crate::cst::CstNode, Vec<String>) {
+    fn snapshot(outcome: &ParseOutcome<'_>) -> (SyntaxTree<'static>, Vec<String>) {
         (
             outcome.tree.to_cst(),
             outcome.errors.iter().map(|e| e.to_string()).collect(),

@@ -72,9 +72,8 @@ mod tests {
             let tree = session.parse_tree(script).unwrap_or_else(|e| {
                 panic!("{}: fixture rejected: {e}\n{script}", dialect.name());
             });
-            let cst = tree.to_cst();
             let caps = ResolverCaps::for_dialect(dialect);
-            let analysis = analyze_script(script, &cst, &caps, None);
+            let analysis = analyze_script(script, &tree, &caps, None);
             assert!(
                 analysis.diagnostics.is_empty(),
                 "{}: fixture not clean: {:?}",
@@ -94,8 +93,7 @@ mod tests {
         let mut session = parser.session();
         let script = script(dialect);
         let tree = session.parse_tree(script).unwrap();
-        let analysis =
-            analyze_script(script, &tree.to_cst(), &ResolverCaps::full(), None);
+        let analysis = analyze_script(script, &tree, &ResolverCaps::full(), None);
         let insert = analysis
             .statements
             .iter()

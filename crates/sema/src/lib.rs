@@ -50,7 +50,7 @@ use sqlweave_dialects::Dialect;
 
 /// Parse `sql` with `dialect`'s composed parser and run the full semantic
 /// pass. Convenience wrapper over [`analyze_script`] for callers that do
-/// not already hold a CST; returns the parser's error string on rejection.
+/// not already hold a tree; returns the parser's error string on rejection.
 pub fn analyze(
     sql: &str,
     dialect: Dialect,
@@ -60,6 +60,5 @@ pub fn analyze(
     let parser = dialect.parser().map_err(|e| e.to_string())?;
     let mut session = parser.session();
     let tree = session.parse_tree(sql).map_err(|e| e.to_string())?;
-    let cst = tree.to_cst();
-    Ok(analyze_script(sql, &cst, caps, schema))
+    Ok(analyze_script(sql, &tree, caps, schema))
 }

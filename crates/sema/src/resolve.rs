@@ -1,9 +1,10 @@
 //! The scope-graph resolver: names, lineage edges, and the SW4xx rules.
 //!
 //! The pass walks the concrete syntax tree rather than the typed AST —
-//! the CST is the only structure that carries token spans, and every
+//! the tree is the only structure that carries token spans, and every
 //! composed dialect produces the same production vocabulary, so one walker
-//! covers the whole product line. Resolution is *feature-gated* through
+//! covers the whole product line. It reads the parser's arena tree in
+//! place through [`SyntaxNode`] cursors. Resolution is *feature-gated* through
 //! [`ResolverCaps`]: subsystems a dialect's grammar cannot produce are
 //! never entered.
 //!
@@ -26,7 +27,7 @@
 
 use sqlweave_lexgen::LineIndex;
 use sqlweave_lint::{Code, Diagnostic};
-use sqlweave_parser_rt::CstNode;
+use sqlweave_parser_rt::{SyntaxElement, SyntaxNode, SyntaxTree};
 use std::collections::BTreeMap;
 
 use crate::caps::ResolverCaps;
@@ -82,12 +83,13 @@ pub struct ColumnEdge {
     pub span: (usize, usize),
 }
 
-/// Run the semantic pass over a parsed script (a `sql_script` CST, or a
-/// bare statement node). `input` must be the exact source the CST was
-/// parsed from — spans index into it.
+/// Run the semantic pass over a parsed script (a tree rooted at
+/// `sql_script`, or at a bare statement). The tree may be a session's
+/// borrowed tree or an owned copy. `input` must be the exact source the
+/// tree was parsed from — spans index into it.
 pub fn analyze_script(
     input: &str,
-    cst: &CstNode,
+    tree: &SyntaxTree<'_>,
     caps: &ResolverCaps,
     schema: Option<&SchemaCatalog>,
 ) -> Analysis {
@@ -102,13 +104,14 @@ pub fn analyze_script(
         edges: Vec::new(),
         ctes: Vec::new(),
     };
+    let root = tree.root();
     let mut statements = Vec::new();
-    if cst.name() == "sql_script" {
-        for (index, stmt) in cst.children_named("sql_statement").enumerate() {
+    if root.name() == "sql_script" {
+        for (index, stmt) in root.children_named("sql_statement").enumerate() {
             statements.push(r.statement(stmt, index));
         }
     } else {
-        statements.push(r.statement(cst, 0));
+        statements.push(r.statement(root, 0));
     }
     Analysis {
         statements,
@@ -191,9 +194,8 @@ struct Resolver<'a> {
 
 /// Lowercased IDENT parts of an identifier chain / table name, with spans.
 /// Folding matches [`SchemaCatalog`]'s case-insensitive storage.
-fn idents(node: &CstNode) -> Vec<(String, (usize, usize))> {
+fn idents(node: SyntaxNode<'_>) -> Vec<(String, (usize, usize))> {
     sqlweave_sql_ast::lower::identifier_parts(node)
-        .into_iter()
         .map(|(name, span)| (name.to_ascii_lowercase(), span))
         .collect()
 }
@@ -221,13 +223,13 @@ impl<'a> Resolver<'a> {
 
     // ------------------------------------------------------------ statements
 
-    fn statement(&mut self, node: &CstNode, index: usize) -> StatementLineage {
+    fn statement(&mut self, node: SyntaxNode<'_>, index: usize) -> StatementLineage {
         self.reads.clear();
         self.edges.clear();
         self.ctes.clear();
         let span = node.span().unwrap_or((0, 0));
         let inner = if node.name() == "sql_statement" {
-            node.children().first().unwrap_or(node)
+            node.child_at(0).and_then(SyntaxElement::as_node).unwrap_or(node)
         } else {
             node
         };
@@ -277,7 +279,7 @@ impl<'a> Resolver<'a> {
     /// Look up a written-to table (INSERT/UPDATE/MERGE target) and build
     /// its scope relation. Emits SW401 when a catalog is present and the
     /// name is unknown.
-    fn target_relation(&mut self, name_node: &CstNode) -> (String, Relation) {
+    fn target_relation(&mut self, name_node: SyntaxNode<'_>) -> (String, Relation) {
         let parts = idents(name_node);
         let name = dotted(&parts);
         let span = name_node.span().unwrap_or((0, 0));
@@ -322,7 +324,7 @@ impl<'a> Resolver<'a> {
     }
 
     /// Membership check for an explicit column list against known columns.
-    fn check_listed_columns(&mut self, table: &str, known: &[String], list: &CstNode) {
+    fn check_listed_columns(&mut self, table: &str, known: &[String], list: SyntaxNode<'_>) {
         for (col, span) in idents(list) {
             if !known.contains(&col) {
                 let at = self.at(span);
@@ -336,7 +338,7 @@ impl<'a> Resolver<'a> {
         }
     }
 
-    fn insert(&mut self, node: &CstNode) -> (&'static str, Option<String>) {
+    fn insert(&mut self, node: SyntaxNode<'_>) -> (&'static str, Option<String>) {
         let Some(name_node) = node.child("table_name") else {
             return ("insert", None);
         };
@@ -393,7 +395,7 @@ impl<'a> Resolver<'a> {
         ("insert", Some(table))
     }
 
-    fn update(&mut self, node: &CstNode) -> (&'static str, Option<String>) {
+    fn update(&mut self, node: SyntaxNode<'_>) -> (&'static str, Option<String>) {
         let Some(name_node) = node.child("table_name") else {
             return ("update", None);
         };
@@ -431,7 +433,7 @@ impl<'a> Resolver<'a> {
         ("update", Some(table))
     }
 
-    fn delete(&mut self, node: &CstNode) -> (&'static str, Option<String>) {
+    fn delete(&mut self, node: SyntaxNode<'_>) -> (&'static str, Option<String>) {
         let Some(name_node) = node.child("table_name") else {
             return ("delete", None);
         };
@@ -448,7 +450,7 @@ impl<'a> Resolver<'a> {
         ("delete", Some(table))
     }
 
-    fn merge(&mut self, node: &CstNode) -> (&'static str, Option<String>) {
+    fn merge(&mut self, node: SyntaxNode<'_>) -> (&'static str, Option<String>) {
         let mut names = node.children_named("table_name");
         let (Some(target_node), Some(source_node)) = (names.next(), names.next()) else {
             return ("merge", None);
@@ -514,7 +516,7 @@ impl<'a> Resolver<'a> {
         ("merge", Some(table))
     }
 
-    fn create_table(&mut self, node: &CstNode) -> (&'static str, Option<String>) {
+    fn create_table(&mut self, node: SyntaxNode<'_>) -> (&'static str, Option<String>) {
         let Some(name_node) = node.child("table_name") else {
             return ("create_table", None);
         };
@@ -531,7 +533,7 @@ impl<'a> Resolver<'a> {
         ("create_table", Some(name))
     }
 
-    fn create_view(&mut self, node: &CstNode) -> (&'static str, Option<String>) {
+    fn create_view(&mut self, node: SyntaxNode<'_>) -> (&'static str, Option<String>) {
         let Some(name_node) = node.child("table_name") else {
             return ("create_view", None);
         };
@@ -563,7 +565,7 @@ impl<'a> Resolver<'a> {
         ("create_view", Some(name))
     }
 
-    fn drop(&mut self, node: &CstNode) -> (&'static str, Option<String>) {
+    fn drop(&mut self, node: SyntaxNode<'_>) -> (&'static str, Option<String>) {
         let name = node
             .child("object_name")
             .and_then(|o| o.child("table_name"))
@@ -582,7 +584,7 @@ impl<'a> Resolver<'a> {
     /// unknowable.
     fn query(
         &mut self,
-        node: &CstNode,
+        node: SyntaxNode<'_>,
         parent: Option<&Scope<'_>>,
         ctes: &[usize],
     ) -> Option<Vec<OutCol>> {
@@ -594,7 +596,7 @@ impl<'a> Resolver<'a> {
         }
         let mut out: Option<Option<Vec<OutCol>>> = None;
         for qt in node.children_named("query_term") {
-            let Some(primary) = qt.children().first() else { continue };
+            let Some(primary) = qt.child_at(0).and_then(SyntaxElement::as_node) else { continue };
             let shape = match primary.label() {
                 Some("select") => primary
                     .child("query_specification")
@@ -619,14 +621,14 @@ impl<'a> Resolver<'a> {
 
     /// Resolve one WITH clause, appending the new element indices to
     /// `visible` as each becomes available to its successors.
-    fn with_clause(&mut self, wc: &CstNode, visible: &mut Vec<usize>) {
+    fn with_clause(&mut self, wc: SyntaxNode<'_>, visible: &mut Vec<usize>) {
         let recursive =
-            self.caps.recursive_ctes && wc.children().iter().any(|c| c.name() == "RECURSIVE");
+            self.caps.recursive_ctes && wc.children().any(|c| c.name() == "RECURSIVE");
         let first_new = self.ctes.len();
         for el in wc.children_named("with_element") {
             let Some(tok) = el.find_token("IDENT") else { continue };
-            let name = tok.token_text().unwrap_or("").to_ascii_lowercase();
-            let span = tok.span().unwrap_or((0, 0));
+            let name = tok.text().to_ascii_lowercase();
+            let span = tok.span();
             // SW405: two elements of one WITH clause sharing a name.
             if self.ctes[first_new..].iter().any(|c| c.name == name) {
                 let at = self.at(span);
@@ -684,7 +686,7 @@ impl<'a> Resolver<'a> {
     /// every clause, and produce the projection shape.
     fn select(
         &mut self,
-        qs: &CstNode,
+        qs: SyntaxNode<'_>,
         parent: Option<&Scope<'_>>,
         ctes: &[usize],
     ) -> Option<Vec<OutCol>> {
@@ -770,8 +772,7 @@ impl<'a> Resolver<'a> {
                             let name = dc
                                 .child("as_clause")
                                 .and_then(|a| a.find_token("IDENT"))
-                                .and_then(|t| t.token_text())
-                                .map(str::to_ascii_lowercase)
+                                .map(|t| t.text().to_ascii_lowercase())
                                 .or_else(|| {
                                     dc.child("value_expression").and_then(bare_column_tail)
                                 })
@@ -814,7 +815,7 @@ impl<'a> Resolver<'a> {
     /// for duplicate exposed names (SW405) on the way.
     fn build_scope<'p>(
         &mut self,
-        te: &CstNode,
+        te: SyntaxNode<'_>,
         ctes: &[usize],
         parent: Option<&'p Scope<'p>>,
     ) -> Scope<'p> {
@@ -850,12 +851,11 @@ impl<'a> Resolver<'a> {
 
     /// Resolve one `table_primary` into a scope relation, recording the
     /// table-level read edge and CTE usage.
-    fn table_primary(&mut self, tp: &CstNode, ctes: &[usize]) -> Relation {
+    fn table_primary(&mut self, tp: SyntaxNode<'_>, ctes: &[usize]) -> Relation {
         let alias = if self.caps.aliases {
             tp.child("correlation")
                 .and_then(|c| c.find_token("IDENT"))
-                .and_then(|t| t.token_text())
-                .map(str::to_ascii_lowercase)
+                .map(|t| t.text().to_ascii_lowercase())
         } else {
             None
         };
@@ -915,7 +915,7 @@ impl<'a> Resolver<'a> {
     /// in `scope` and recursing into expression subqueries (which see
     /// `scope` as their parent — correlation). Canonical sources are
     /// appended to `sink`.
-    fn refs(&mut self, node: &CstNode, scope: &Scope<'_>, ctes: &[usize], sink: &mut Vec<String>) {
+    fn refs(&mut self, node: SyntaxNode<'_>, scope: &Scope<'_>, ctes: &[usize], sink: &mut Vec<String>) {
         match node.name() {
             "column_reference" => {
                 if let Some(chain) = node.child("identifier_chain") {
@@ -937,7 +937,7 @@ impl<'a> Resolver<'a> {
                 }
             }
             _ => {
-                for c in node.children() {
+                for c in node.children().filter_map(SyntaxElement::as_node) {
                     self.refs(c, scope, ctes, sink);
                 }
             }
@@ -947,7 +947,7 @@ impl<'a> Resolver<'a> {
     /// Resolve one identifier chain as a column reference. Returns the
     /// canonical `relation.column` source, or the raw chain when the
     /// relation cannot be attributed.
-    fn column(&mut self, chain: &CstNode, scope: &Scope<'_>) -> String {
+    fn column(&mut self, chain: SyntaxNode<'_>, scope: &Scope<'_>) -> String {
         let parts = idents(chain);
         let span = chain.span().unwrap_or((0, 0));
         match parts.len() {
@@ -1066,15 +1066,15 @@ impl<'a> Resolver<'a> {
 /// If the expression is a bare column reference (single-child chain down
 /// to `column_reference`), the final identifier — the implicit output
 /// column name.
-fn bare_column_tail(expr: &CstNode) -> Option<String> {
+fn bare_column_tail(expr: SyntaxNode<'_>) -> Option<String> {
     let mut node = expr;
     loop {
         if node.name() == "column_reference" {
             let parts = idents(node);
             return parts.last().map(|(n, _)| n.clone());
         }
-        match node.children() {
-            [only] => node = only,
+        match node.child_at(0).and_then(SyntaxElement::as_node) {
+            Some(only) if node.child_count() == 1 => node = only,
             _ => return None,
         }
     }

@@ -122,7 +122,7 @@ fn clean_corpus_is_silent_across_dialects() {
             let tree = session
                 .parse_tree(sql)
                 .unwrap_or_else(|e| panic!("{}: {sql}: {e}", dialect.name()));
-            let a = sqlweave_sema::analyze_script(sql, &tree.to_cst(), &caps, None);
+            let a = sqlweave_sema::analyze_script(sql, &tree, &caps, None);
             assert!(
                 a.diagnostics.is_empty(),
                 "{}: `{sql}` produced {:?}",

@@ -1,6 +1,6 @@
 //! Cross-engine differential suite for the event-driven green core: every
-//! tree the event engines build (via [`sqlweave::parser_rt::SyntaxTree`])
-//! must convert to the *identical* `CstNode` the preserved seed engines
+//! tree the event engines build (a [`sqlweave::parser_rt::SyntaxTree`])
+//! must be structurally *identical* to the tree the preserved seed engines
 //! produce — and every error must be reported identically — across all
 //! dialects, both engine modes, curated corpora, rejection witnesses, and
 //! grammar-generated sentences. This is the proof that the perf rework is

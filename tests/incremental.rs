@@ -8,14 +8,14 @@
 use proptest::prelude::*;
 use sqlweave::dialects::Dialect;
 use sqlweave::parser_rt::engine::EngineMode;
-use sqlweave::parser_rt::{CstNode, ParseSession, SyntaxElement, SyntaxNode, SyntaxTree};
+use sqlweave::parser_rt::{ParseSession, SyntaxElement, SyntaxNode, SyntaxTree};
 use sqlweave_bench::{corpus, parser};
 
 const MODES: [EngineMode; 2] = [EngineMode::Backtracking, EngineMode::Ll1Table];
 
 /// How many times each scanned token index appears in the tree.
 fn token_coverage(tree: &SyntaxTree<'_>) -> Vec<usize> {
-    fn walk(node: SyntaxNode<'_, '_>, seen: &mut Vec<usize>) {
+    fn walk(node: SyntaxNode<'_>, seen: &mut Vec<usize>) {
         for el in node.children() {
             match el {
                 SyntaxElement::Token(t) => seen[t.index()] += 1,
@@ -45,7 +45,7 @@ fn check_edit(
     rep: &str,
     ctx: &str,
 ) {
-    let (inc_cst, inc_errs): (CstNode, Vec<String>) = {
+    let (inc_cst, inc_errs): (SyntaxTree<'static>, Vec<String>) = {
         let mut o = s.apply_edit(lo..hi, rep);
         let errs = o.errors.iter().map(|e| e.to_string()).collect();
         let tree = o.tree.get();

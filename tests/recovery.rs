@@ -16,7 +16,7 @@ const MODES: [EngineMode; 2] = [EngineMode::Backtracking, EngineMode::Ll1Table];
 /// recovered tree must cover every token exactly once — skipped tokens
 /// land in `error` nodes, never on the floor.
 fn token_coverage(tree: &SyntaxTree<'_>) -> Vec<usize> {
-    fn walk(node: SyntaxNode<'_, '_>, seen: &mut Vec<usize>) {
+    fn walk(node: SyntaxNode<'_>, seen: &mut Vec<usize>) {
         for el in node.children() {
             match el {
                 SyntaxElement::Token(t) => seen[t.index()] += 1,

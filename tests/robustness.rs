@@ -58,18 +58,16 @@ fn token_spans_reconstruct_source_slices() {
     let p = parser(Dialect::Full, EngineMode::Backtracking);
     for stmt in corpus(Dialect::Full) {
         let cst = p.parse(stmt).unwrap();
-        for tok in cst.tokens() {
-            let sqlweave::parser_rt::CstNode::Token { text, start, end, .. } = tok else {
-                unreachable!()
-            };
+        for tok in cst.root().tokens() {
+            let (start, end) = tok.span();
             assert_eq!(
-                &stmt[*start..*end],
-                text,
+                &stmt[start..end],
+                tok.text(),
                 "span [{start}..{end}] does not slice to the token text in {stmt:?}"
             );
         }
         // whole-tree span covers first..last token
-        let (lo, hi) = cst.span().unwrap();
+        let (lo, hi) = cst.root().span().unwrap();
         assert!(lo <= hi && hi <= stmt.len());
     }
 }
@@ -117,6 +115,30 @@ fn deeply_nested_input_parses_or_fails_gracefully() {
     // unbalanced version must error, not panic or hang
     let bad = format!("SELECT {}a FROM t", "(".repeat(depth));
     assert!(p.parse(&bad).is_err());
+}
+
+#[test]
+fn owned_tree_builds_and_drops_without_recursion() {
+    // Each parenthesis nests a search condition about five rules deep, so
+    // this tree is ~1000 levels deep: copying or dropping it one stack
+    // frame per level would overflow the 64 KiB thread below.
+    let p = parser(Dialect::Full, EngineMode::Backtracking);
+    let depth = 200;
+    let stmt = format!(
+        "SELECT a FROM t WHERE {}a = 1{}",
+        "(".repeat(depth),
+        ")".repeat(depth)
+    );
+    let mut session = p.session();
+    let tree = session.parse_tree(&stmt).unwrap();
+    std::thread::scope(|scope| {
+        std::thread::Builder::new()
+            .stack_size(64 << 10)
+            .spawn_scoped(scope, || drop(tree.to_cst()))
+            .expect("spawn 64 KiB thread")
+            .join()
+            .expect("to_cst and drop on a 64 KiB stack");
+    });
 }
 
 #[test]

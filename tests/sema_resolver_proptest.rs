@@ -57,7 +57,7 @@ proptest! {
                     // The LL(1) engine rejects some sentences of the larger
                     // dialects; the property only covers accepted parses.
                     let Ok(tree) = session.parse_tree(sql) else { continue };
-                    let a = analyze_script(sql, &tree.to_cst(), &caps, None);
+                    let a = analyze_script(sql, &tree, &caps, None);
                     assert_spans_in_bounds(dialect, sql, &a);
                 }
             }
